@@ -8,6 +8,6 @@ cross-device evaluation.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, count_multiplies, no_grad, tensor
+from .tensor import Tensor, count_multiplies, no_grad
 
-__all__ = ["Tensor", "count_multiplies", "no_grad", "tensor", "__version__"]
+__all__ = ["Tensor", "count_multiplies", "no_grad", "__version__"]

@@ -7,7 +7,6 @@ zero-padding, which pins the frame count at exactly 65.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,9 +24,6 @@ N_FRAMES = 65
 N_BINS = WIN_LENGTH // 2 + 1                # 2049
 N_MELS = 256
 LOG_FLOOR = 1e-10
-
-FEATURE_MAGIC = b"PACNFEAT"
-FEATURE_VERSION = 1
 
 
 @dataclass
@@ -88,8 +84,11 @@ def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -
         x = x.mean(axis=1)
     if rate != SAMPLE_RATE:
         x = resample_linear(x, SAMPLE_RATE / rate)
-    x = to_clip_length(x)
-    return AudioClip(samples=x.astype(np.float32), scene_label=scene_label,
+    with np.errstate(over="ignore"):        # overflow is rejected below
+        samples = to_clip_length(x).astype(np.float32)
+    if not np.isfinite(samples).all():
+        raise IngestionError(f"non-finite samples in {path}")
+    return AudioClip(samples=samples, scene_label=scene_label,
                      device_id=device_id, city=city)
 
 
@@ -181,46 +180,3 @@ def extract_feature(clip: AudioClip, spectrum_coeffs: np.ndarray | None = None) 
     feature = np.stack([logmel, delta], axis=-1).astype(np.float32)
     return FeatureClip(feature=feature, scene_label=clip.scene_label,
                        device_id=clip.device_id)
-
-
-# -- flat binary feature cache ----------------------------------------------
-
-
-def write_feature_cache(path, clips):
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        for clip in clips:
-            if clip.feature.shape != (N_MELS, N_FRAMES, 2):
-                raise UsageError(f"feature shape {clip.feature.shape} not "
-                                 f"({N_MELS}, {N_FRAMES}, 2)")
-            dev = clip.device_id.encode("utf-8")
-            fh.write(struct.pack("<B", clip.scene_label & 0xFF))
-            fh.write(struct.pack("<I", len(dev)))
-            fh.write(dev)
-            fh.write(np.ascontiguousarray(clip.feature, dtype="<f4").tobytes())
-
-
-def read_feature_cache(path) -> list[FeatureClip]:
-    record = N_MELS * N_FRAMES * 2 * 4
-    clips = []
-    with open(path, "rb") as fh:
-        if fh.read(8) != FEATURE_MAGIC:
-            raise IngestionError(f"{path} is not a feature cache (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FEATURE_VERSION:
-            raise IngestionError(f"unsupported feature cache version {version}")
-        while True:
-            head = fh.read(1)
-            if not head:
-                break
-            label = head[0]
-            (dlen,) = struct.unpack("<I", fh.read(4))
-            dev = fh.read(dlen).decode("utf-8")
-            raw = fh.read(record)
-            if len(raw) != record:
-                raise IngestionError(f"truncated feature record in {path}")
-            feature = np.frombuffer(raw, dtype="<f4").reshape(N_MELS, N_FRAMES, 2)
-            clips.append(FeatureClip(feature=feature.copy(), scene_label=label,
-                                     device_id=dev))
-    return clips

@@ -29,10 +29,8 @@ from .model import PacnConfig, PacnModel
 from .profiler import profile, verify_against_runtime
 from .seeding import PURPOSE_AUGMENT, derive_rng
 from .synth import SynthSpec, generate_synth_dataset
-from .train import (Dataset, TrainConfig, estimate_dataset_correction,
-                    exclude_device, extract_features, load_dataset,
-                    split_train_val, train_student_kd, train_teacher,
-                    write_metrics)
+from .train import (TrainConfig, load_dataset, split_train_val,
+                    train_student_kd, train_teacher, write_metrics)
 
 log = logging.getLogger(__name__)
 
@@ -42,45 +40,13 @@ def _packaged_config(name: str) -> PacnConfig:
     return PacnConfig.from_json(text)
 
 
-def _load_clips(manifest_path, threads: int, correction=None) -> Dataset:
-    return load_dataset(manifest_path, correction=correction, threads=threads)
-
-
 def _prepare_training(args, cfg: TrainConfig):
-    """Load, optionally exclude a device, estimate correction, split."""
-    rows = parse_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    clips = [read_wav(os.path.join(base, r.filename), r.label_index,
-                      r.device_id, r.city) for r in rows]
-    labels = np.array([r.label_index for r in rows], dtype=np.int64)
-    devices = tuple(r.device_id for r in rows)
-    names = tuple(r.filename for r in rows)
-
-    keep = np.arange(len(rows))
-    if args.exclude_device is not None:
-        mask = np.array([d != args.exclude_device for d in devices])
-        if mask.all():
-            raise UsageError(f"no clips recorded by device "
-                             f"{args.exclude_device!r}")
-        if not mask.any():
-            raise UsageError(f"all clips recorded by device "
-                             f"{args.exclude_device!r}; nothing left to train on")
-        keep = np.flatnonzero(mask)
-
-    kept_clips = [clips[i] for i in keep]
-    correction = None
-    if cfg.augment.spectrum_correction:
-        correction = estimate_dataset_correction(kept_clips)
-    ds = Dataset(clips=kept_clips,
-                 features=extract_features(kept_clips, correction,
-                                           args.threads),
-                 labels=labels[keep],
-                 devices=tuple(devices[i] for i in keep),
-                 names=tuple(names[i] for i in keep))
+    """Load the manifest (minus any excluded device) and split off validation."""
+    ds = load_dataset(args.manifest, args.threads,
+                      fit_correction=cfg.augment.spectrum_correction,
+                      exclude_device=args.exclude_device)
     train_ds, val_ds = split_train_val(ds, args.val_fraction, cfg.seed)
-    if len(val_ds) == 0:
-        val_ds = None
-    return train_ds, val_ds, correction
+    return train_ds, (val_ds if len(val_ds) else None)
 
 
 def _finish_training(args, result):
@@ -120,8 +86,9 @@ def cmd_train_teacher(args) -> int:
     cfg = _train_config(args)
     model_cfg = (PacnConfig.from_file(args.model_config)
                  if args.model_config else _packaged_config("teacher.json"))
-    train_ds, val_ds, correction = _prepare_training(args, cfg)
-    result = train_teacher(model_cfg, train_ds, cfg, val_ds, correction)
+    train_ds, val_ds = _prepare_training(args, cfg)
+    result = train_teacher(model_cfg, train_ds, cfg, val_ds,
+                           train_ds.correction)
     return _finish_training(args, result)
 
 
@@ -130,22 +97,16 @@ def cmd_train_student(args) -> int:
     model_cfg = (PacnConfig.from_file(args.model_config)
                  if args.model_config else _packaged_config("student.json"))
     teacher = PacnModel.load(args.teacher) if args.teacher else None
-    train_ds, val_ds, correction = _prepare_training(args, cfg)
+    train_ds, val_ds = _prepare_training(args, cfg)
     result = train_student_kd(model_cfg, teacher, train_ds, cfg, val_ds,
-                              correction)
+                              train_ds.correction)
     return _finish_training(args, result)
 
 
 def cmd_eval(args) -> int:
     model = PacnModel.load(args.ckpt)
-    correction = None
-    if not args.no_correction:
-        rows = parse_manifest(args.manifest)
-        base = os.path.dirname(os.path.abspath(args.manifest))
-        clips = [read_wav(os.path.join(base, r.filename), r.label_index,
-                          r.device_id, r.city) for r in rows]
-        correction = estimate_dataset_correction(clips)
-    ds = _load_clips(args.manifest, args.threads, correction)
+    ds = load_dataset(args.manifest, args.threads,
+                      fit_correction=not args.no_correction)
     unseen = ()
     if args.held_out_device is not None:
         if args.held_out_device not in ds.devices:
@@ -239,9 +200,9 @@ def cmd_augment_preview(args) -> int:
                         r.device_id, r.city)
         stem = os.path.splitext(os.path.basename(r.filename))[0]
         write_wav(os.path.join(args.out, f"{stem}_orig.wav"), clip.samples)
+        same_label = [q for q in rows if q.scene_label == r.scene_label]
         pool = [read_wav(os.path.join(base, q.filename), q.label_index,
-                         q.device_id, q.city)
-                for q in rows if q.scene_label == r.scene_label][:8]
+                         q.device_id, q.city) for q in same_label[:8]]
         rng = derive_rng(seed, PURPOSE_AUGMENT, 0, r.filename)
         shifted = pitch_shift(clip, 1.05)
         write_wav(os.path.join(args.out, f"{stem}_pitch105.wav"),

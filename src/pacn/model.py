@@ -29,6 +29,10 @@ CHECKPOINT_VERSION = 1
 WIRING_MODES = ("parallel", "serial", "no_fusion")
 
 
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, (int, np.integer)) and v >= 1 for v in values)
+
+
 @dataclass
 class PacnConfig:
     pre_channels: list = field(default_factory=lambda: [3, 16])
@@ -44,11 +48,24 @@ class PacnConfig:
     in_channels: int = 2
 
     def validate(self):
-        if not self.pre_channels or not self.lci_channels:
-            raise ConfigError("pre_channels and lci_channels must be non-empty")
+        for name in ("pre_channels", "lci_channels"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple)) or not widths \
+                    or not _positive_ints(widths):
+                raise ConfigError(f"{name} must be a non-empty list of "
+                                  "positive integers")
+        if not isinstance(self.pre_pools, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and _positive_ints(p) for p in self.pre_pools):
+            raise ConfigError("pre_pools must be a list of [freq, time] "
+                              "pairs of positive integers")
         if len(self.pre_pools) != len(self.pre_channels):
             raise ConfigError(f"{len(self.pre_channels)} pre stages but "
                               f"{len(self.pre_pools)} pool windows")
+        for name in ("gci_embed_dim", "gci_heads", "gci_mlp_hidden",
+                     "shuffle_groups", "num_classes", "in_channels"):
+            if not _positive_ints([getattr(self, name)]):
+                raise ConfigError(f"{name} must be a positive integer")
         if self.gci_embed_dim % self.gci_heads != 0:
             raise ConfigError(f"embed dim {self.gci_embed_dim} not divisible "
                               f"by {self.gci_heads} heads")
@@ -59,10 +76,6 @@ class PacnConfig:
         if self.wiring_mode not in WIRING_MODES:
             raise ConfigError(f"unknown wiring mode {self.wiring_mode!r}; "
                               f"expected one of {WIRING_MODES}")
-        for name in ("gci_embed_dim", "gci_heads", "gci_mlp_hidden",
-                     "shuffle_groups", "num_classes", "in_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
         return self
 
     def to_json(self) -> str:
@@ -74,6 +87,8 @@ class PacnConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -326,40 +341,66 @@ class PacnModel:
 
     @classmethod
     def load(cls, path) -> "PacnModel":
+        """Restore a checkpoint; any malformed input raises a PacnError."""
         with open(path, "rb") as fh:
             if fh.read(8) != CHECKPOINT_MAGIC:
                 raise IngestionError(f"{path} is not a checkpoint (bad magic)")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != CHECKPOINT_VERSION:
-                raise IngestionError(f"unsupported checkpoint version {version}")
-            (clen,) = struct.unpack("<I", fh.read(4))
-            config = PacnConfig.from_json(fh.read(clen).decode("utf-8"))
-            model = cls(config)
-            loaded = {}
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (nlen,) = struct.unpack("<I", head)
-                name = fh.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 4)
-                if len(raw) != count * 4:
-                    raise IngestionError(f"truncated tensor {name} in {path}")
-                loaded[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            reader = _CheckpointReader(fh.read(), path)
+        (version,) = reader.u32s(1, "version")
+        if version != CHECKPOINT_VERSION:
+            raise IngestionError(f"unsupported checkpoint version {version}")
+        model = cls(PacnConfig.from_json(reader.text("config")))
         expected = dict(model._entries())
-        missing = set(expected) - set(loaded)
-        extra = set(loaded) - set(expected)
-        if missing or extra:
-            raise IngestionError(f"checkpoint/config mismatch in {path}: "
-                                 f"missing {sorted(missing)[:3]}, "
-                                 f"unexpected {sorted(extra)[:3]}")
-        for name, data in loaded.items():
-            target = expected[name]
-            if target.shape != data.shape:
-                raise IngestionError(f"tensor {name} has shape {data.shape}, "
+        loaded = set()
+        while not reader.done():
+            name = reader.text("tensor name")
+            (ndim,) = reader.u32s(1, name)
+            shape = reader.u32s(ndim, name)
+            target = expected.get(name)
+            if target is None:
+                raise IngestionError(f"checkpoint/config mismatch in {path}: "
+                                     f"unexpected tensor {name!r}")
+            if shape != target.shape:
+                raise IngestionError(f"tensor {name} has shape {shape}, "
                                      f"expected {target.shape}")
-            target[...] = data
+            raw = reader.take(4 * target.size, name)
+            target[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            loaded.add(name)
+        missing = set(expected) - loaded
+        if missing:
+            raise IngestionError(f"checkpoint/config mismatch in {path}: "
+                                 f"missing {sorted(missing)[:3]}")
         return model
+
+
+class _CheckpointReader:
+    """Length-checked cursor over checkpoint bytes.
+
+    Every read checks the bytes left first, so a truncated or corrupted file
+    raises IngestionError instead of a struct or decode error.
+    """
+
+    def __init__(self, raw: bytes, path):
+        self.raw = raw
+        self.pos = 0
+        self.path = path
+
+    def done(self) -> bool:
+        return self.pos == len(self.raw)
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > len(self.raw) - self.pos:
+            raise IngestionError(f"truncated {what} in {self.path}")
+        out = self.raw[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.take(4 * count, what))
+
+    def text(self, what: str) -> str:
+        (n,) = self.u32s(1, what)
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise IngestionError(f"{what} in {self.path} is not UTF-8") from None

@@ -111,46 +111,26 @@ def bsconv_forward(x: Tensor, pw_weight: Tensor, dw_weight: Tensor,
     return depthwise_conv2d(h, dw_weight, dw_bias, stride=stride)
 
 
-def maxpool2d(x: Tensor, window, stride=None) -> Tensor:
-    """Max pooling with floor semantics (no padding); stride defaults to window."""
+def maxpool2d(x: Tensor, window) -> Tensor:
+    """Non-overlapping max pooling (stride = window), floor semantics."""
     wf, wt = window
-    sf, st = (wf, wt) if stride is None else stride
     n, c, f, t = x.data.shape
-    if sf == wf and st == wt:
-        fo, to = f // wf, t // wt
-        crop = x.data[:, :, :fo * wf, :to * wt]
-        xr = crop.reshape(n, c, fo, wf, to, wt).transpose(0, 1, 2, 4, 3, 5)
-        flat = xr.reshape(n, c, fo, to, wf * wt)
-        idx = flat.argmax(axis=-1)
-        out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-        def bw(g):
-            dflat = np.zeros_like(flat)
-            np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-            dcrop = dflat.reshape(n, c, fo, to, wf, wt).transpose(0, 1, 2, 4, 3, 5)
-            dx = np.zeros_like(x.data)
-            dx[:, :, :fo * wf, :to * wt] = dcrop.reshape(n, c, fo * wf, to * wt)
-            _accum(x, dx)
-
-        return _make(out_data, (x,), bw)
-
-    fo = (f - wf) // sf + 1
-    to = (t - wt) // st + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (wf, wt), axis=(2, 3))
-    win = win[:, :, ::sf, ::st]
-    flat = win.reshape(n, c, fo, to, wf * wt)
+    fo, to = f // wf, t // wt
+    crop = x.data[:, :, :fo * wf, :to * wt]
+    xr = crop.reshape(n, c, fo, wf, to, wt).transpose(0, 1, 2, 4, 3, 5)
+    flat = xr.reshape(n, c, fo, to, wf * wt)
     idx = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
-    def bw_general(g):
+    def bw(g):
+        dflat = np.zeros_like(flat)
+        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+        dcrop = dflat.reshape(n, c, fo, to, wf, wt).transpose(0, 1, 2, 4, 3, 5)
         dx = np.zeros_like(x.data)
-        ni, ci_, fi, ti = np.indices((n, c, fo, to))
-        fpos = fi * sf + idx // wt
-        tpos = ti * st + idx % wt
-        np.add.at(dx, (ni, ci_, fpos, tpos), g)
+        dx[:, :, :fo * wf, :to * wt] = dcrop.reshape(n, c, fo * wf, to * wt)
         _accum(x, dx)
 
-    return _make(out_data, (x,), bw_general)
+    return _make(out_data, (x,), bw)
 
 
 def channel_shuffle(x: Tensor, groups: int) -> Tensor:
@@ -315,23 +295,6 @@ def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return out
 
 
-def attention_weights(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, heads: int,
-                      bq=None, bk=None) -> np.ndarray:
-    """Forward-only attention matrix (n, h, L, L), for inspection/tests."""
-    if x.ndim == 2:
-        x = x[None]
-    n, L, d = x.shape
-    dh = d // heads
-    q = x @ wq + (0 if bq is None else bq)
-    k = x @ wk + (0 if bk is None else bk)
-    q = q.reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    k = k.reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    a = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    a = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(a)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy; targets are one-hot (or soft) rows."""
     if logits.data.shape != targets.shape:
@@ -351,7 +314,7 @@ def kl_from_teacher(teacher_probs: np.ndarray, student_logits: Tensor) -> Tensor
 
 
 __all__ = [
-    "EPS", "arn_forward", "attention_weights", "batch_norm_forward",
+    "EPS", "arn_forward", "batch_norm_forward",
     "bsconv_forward", "channel_shuffle", "concat", "cross_entropy",
     "depthwise_conv2d", "fc_forward", "fin_forward", "global_avg_pool",
     "grn_forward", "kl_from_teacher", "layer_norm_forward", "log",

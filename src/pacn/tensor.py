@@ -119,10 +119,6 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _const_like(value, ref: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=ref.data.dtype))
 

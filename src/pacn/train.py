@@ -27,7 +27,7 @@ from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
 from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
                       apply_mixup, augment_clip, draw_mixup, estimate_correction)
 from .errors import ConfigError, TrainingError, UsageError
-from .manifest import SCENE_LABELS, parse_manifest
+from .manifest import parse_manifest
 from .model import PacnConfig, PacnModel, features_to_input
 from .seeding import (PURPOSE_AUGMENT, PURPOSE_MIXUP, PURPOSE_SHUFFLE,
                       derive_rng)
@@ -218,7 +218,7 @@ class Dataset:
     labels: np.ndarray                  # (n,) int64
     devices: tuple[str, ...]
     names: tuple[str, ...]              # stable ids keying RNG streams
-    num_classes: int = len(SCENE_LABELS)
+    correction: SpectrumCorrection | None = None    # applied to ``features``
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -230,7 +230,7 @@ class Dataset:
                        labels=self.labels[idx],
                        devices=tuple(self.devices[i] for i in idx),
                        names=tuple(self.names[i] for i in idx),
-                       num_classes=self.num_classes)
+                       correction=self.correction)
 
 
 def extract_features(clips, correction: SpectrumCorrection | None = None,
@@ -251,20 +251,36 @@ def extract_features(clips, correction: SpectrumCorrection | None = None,
     return np.stack(feats)
 
 
-def load_dataset(manifest_path, correction: SpectrumCorrection | None = None,
-                 threads: int = 1,
-                 num_classes: int = len(SCENE_LABELS)) -> Dataset:
-    """Read every clip listed in a manifest (paths relative to it)."""
+def load_dataset(manifest_path, threads: int = 1, fit_correction: bool = False,
+                 exclude_device: str | None = None) -> Dataset:
+    """Read the clips a manifest lists (paths relative to it) into a Dataset.
+
+    ``exclude_device`` drops that device's rows before any WAV is read; each
+    kept WAV is read once. With ``fit_correction`` the spectrum correction is
+    fitted on the kept clips, applied to their features and returned as
+    ``Dataset.correction``.
+    """
     rows = parse_manifest(manifest_path)
+    if not rows:
+        raise UsageError(f"{manifest_path} lists no clips")
+    if exclude_device is not None:
+        kept = [r for r in rows if r.device_id != exclude_device]
+        if len(kept) == len(rows):
+            raise UsageError(f"no clips recorded by device {exclude_device!r}")
+        if not kept:
+            raise UsageError(f"all clips recorded by device {exclude_device!r}; "
+                             "nothing left to train on")
+        rows = kept
     base = os.path.dirname(os.path.abspath(manifest_path))
     clips = [read_wav(os.path.join(base, r.filename), r.label_index,
                       r.device_id, r.city) for r in rows]
+    correction = estimate_dataset_correction(clips) if fit_correction else None
     return Dataset(clips=clips,
                    features=extract_features(clips, correction, threads),
                    labels=np.array([r.label_index for r in rows], dtype=np.int64),
                    devices=tuple(r.device_id for r in rows),
                    names=tuple(r.filename for r in rows),
-                   num_classes=num_classes)
+                   correction=correction)
 
 
 def estimate_dataset_correction(clips) -> SpectrumCorrection:
@@ -290,17 +306,6 @@ def split_train_val(ds: Dataset, val_fraction: float, seed: int):
     mask = np.ones(len(ds), dtype=bool)
     mask[val_idx] = False
     return ds.subset(np.flatnonzero(mask)), ds.subset(val_idx)
-
-
-def exclude_device(ds: Dataset, device_id: str):
-    """Returns (clips from other devices, clips from ``device_id``)."""
-    held = np.array([d == device_id for d in ds.devices])
-    if not held.any():
-        raise UsageError(f"no clips recorded by device {device_id!r}")
-    if held.all():
-        raise UsageError(f"all clips recorded by device {device_id!r}; "
-                         "nothing left to train on")
-    return ds.subset(np.flatnonzero(~held)), ds.subset(np.flatnonzero(held))
 
 
 # -- training loop ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Front-end: WAV ingestion, framing, spectra, Mel filterbank, deltas, cache."""
+"""Front-end: WAV ingestion, framing, spectra, Mel filterbank, deltas."""
 
 import numpy as np
 import pytest
@@ -52,6 +52,17 @@ class TestReadWav:
         path = tmp_path / "junk.wav"
         path.write_bytes(b"this is not audio")
         with pytest.raises(IngestionError):
+            audio.read_wav(path)
+
+    @pytest.mark.parametrize("data", [
+        np.full(44100, np.nan, dtype=np.float32),
+        np.where(np.arange(44100) == 7, np.inf, 0.0).astype(np.float32),
+        np.full(44100, 1e300),              # finite, but not as float32
+    ], ids=["nan", "inf", "float32-overflow"])
+    def test_non_finite_samples_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.wav"
+        scipy.io.wavfile.write(path, 44100, data)
+        with pytest.raises(IngestionError, match="non-finite"):
             audio.read_wav(path)
 
     def test_write_read_roundtrip(self, tmp_path):
@@ -189,36 +200,3 @@ class TestExtractFeature:
         doubled = audio.extract_feature(clip, spectrum_coeffs=np.full(2049, 2.0)).feature
         np.testing.assert_allclose(ones, plain, atol=1e-5)
         assert not np.allclose(doubled, plain, atol=1e-3)
-
-
-class TestFeatureCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        clips = [audio.FeatureClip(feature=rng.standard_normal((256, 65, 2))
-                                   .astype(np.float32),
-                                   scene_label=i, device_id=f"dev{i}")
-                 for i in range(3)]
-        path = tmp_path / "feat.bin"
-        audio.write_feature_cache(path, clips)
-        back = audio.read_feature_cache(path)
-        assert len(back) == 3
-        for orig, got in zip(clips, back):
-            assert got.scene_label == orig.scene_label
-            assert got.device_id == orig.device_id
-            assert got.feature.tobytes() == orig.feature.tobytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAFEAT" + b"\x00" * 64)
-        with pytest.raises(IngestionError):
-            audio.read_feature_cache(path)
-
-    def test_truncated_record_rejected(self, tmp_path):
-        clips = [audio.FeatureClip(feature=np.zeros((256, 65, 2), dtype=np.float32),
-                                   scene_label=0, device_id="a")]
-        path = tmp_path / "trunc.bin"
-        audio.write_feature_cache(path, clips)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-100])
-        with pytest.raises(IngestionError):
-            audio.read_feature_cache(path)

@@ -4,6 +4,8 @@ import logging
 
 import pytest
 
+import pacn.cli
+import pacn.train
 from pacn.cli import main
 
 TINY_MODEL = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
@@ -39,6 +41,20 @@ def work(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def count_read_wav(monkeypatch, *modules):
+    """Route ``read_wav`` in each module through one call counter."""
+    calls = []
+    original = pacn.train.read_wav
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "read_wav", counted)
+    return calls
 
 
 class TestSynthData:
@@ -138,6 +154,20 @@ class TestEval:
                    "--held-out-device", "zz") == 1
         assert "zz" in capsys.readouterr().err
 
+    def test_reads_each_wav_once(self, work, monkeypatch):
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", work / "data" / "manifest.tsv") == 0
+        assert len(calls) == 12 and len(set(calls)) == 12
+
+    def test_truncated_checkpoint_fails_cleanly(self, work, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((work / "teacher.ckpt").read_bytes()[:14])
+        assert run("--quiet", "eval", "--ckpt", cut,
+                   "--manifest", work / "data" / "manifest.tsv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_subset_scores_row(self, work, tmp_path):
         assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
                    "--manifest", work / "data" / "manifest.tsv",
@@ -217,6 +247,17 @@ class TestAugmentPreview:
         assert any(f.endswith("_orig.wav") for f in files)
         assert any(f.endswith("_pitch105.wav") for f in files)
         assert any(f.endswith("_policy.wav") for f in files)
+
+    def test_reads_only_the_kept_pool(self, tmp_path, monkeypatch):
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"classes": 1, "clips_per_class": 10, "devices": 1, "seed": 3}))
+        assert run("synth-data", "--spec", tmp_path / "spec.json",
+                   "--out", tmp_path / "d") == 0
+        calls = count_read_wav(monkeypatch, pacn.cli)
+        assert run("--quiet", "augment-preview",
+                   "--manifest", tmp_path / "d" / "manifest.tsv",
+                   "--out", tmp_path / "prev", "--count", "2") == 0
+        assert len(calls) == 2 * (1 + 8)      # the clip, then its pool of 8
 
 
 class TestArgHandling:

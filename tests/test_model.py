@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacn import ops
-from pacn.errors import ConfigError, IngestionError
+from pacn.errors import ConfigError, IngestionError, PacnError
 from pacn.model import PacnConfig, PacnModel, features_to_input
 from pacn.tensor import Tensor, backward, no_grad
 
@@ -242,6 +244,13 @@ class TestConfig:
         assert x.data[1, 1, 10, 20] == 5.0
 
 
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    PacnModel(PacnConfig(**TINY), seed=0).save(path)
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_everything(self, tmp_path):
         model = PacnModel(PacnConfig(wiring_mode="serial"), seed=8)
@@ -285,6 +294,35 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 37])
         with pytest.raises(IngestionError):
+            PacnModel.load(path)
+
+    def test_every_truncation_rejected(self, tiny_ckpt, tmp_path):
+        raw = tiny_ckpt.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(IngestionError):
+                PacnModel.load(cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flip_loads_or_raises_pacn_error(self, tiny_ckpt, data):
+        raw = tiny_ckpt.read_bytes()
+        pos = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        bad = tiny_ckpt.parent / "flipped.ckpt"
+        bad.write_bytes(raw[:pos] + bytes([raw[pos] ^ flip]) + raw[pos + 1:])
+        try:
+            PacnModel.load(bad)
+        except PacnError:
+            pass
+
+    def test_non_utf8_config_rejected(self, tiny_ckpt, tmp_path):
+        raw = bytearray(tiny_ckpt.read_bytes())
+        raw[20] = 0xFF              # inside the embedded config JSON
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match="UTF-8"):
             PacnModel.load(path)
 
     def test_arn_clamp(self):

@@ -10,8 +10,9 @@ from pacn.augment import AugmentConfig
 from pacn.errors import ConfigError, TrainingError, UsageError
 from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
+from pacn.manifest import parse_manifest, write_manifest
 from pacn.train import (Adam, METRICS_COLUMNS, TrainConfig, estimate_dataset_correction,
-                        exclude_device, kd_loss, load_dataset, lr_at,
+                        extract_features, kd_loss, load_dataset, lr_at,
                         mean_teacher_kl, split_train_val, train_student_kd,
                         train_teacher, write_metrics)
 
@@ -38,13 +39,18 @@ def fast_cfg(**kw):
 
 
 @pytest.fixture(scope="module")
-def tiny_ds(tmp_path_factory):
+def tiny_manifest(tmp_path_factory):
     from pacn.synth import SynthSpec, generate_synth_dataset
 
     root = tmp_path_factory.mktemp("ds")
     generate_synth_dataset(SynthSpec(classes=3, clips_per_class=6, devices=2,
                                      seed=4), root)
-    return load_dataset(root / "manifest.tsv")
+    return root / "manifest.tsv"
+
+
+@pytest.fixture(scope="module")
+def tiny_ds(tiny_manifest):
+    return load_dataset(tiny_manifest)
 
 
 class TestTrainConfig:
@@ -273,15 +279,44 @@ class TestDatasets:
         with pytest.raises(UsageError):
             split_train_val(tiny_ds, 1.0, seed=1)
 
-    def test_exclude_device_partitions(self, tiny_ds):
-        kept, held = exclude_device(tiny_ds, "b")
+    def test_exclude_device_partitions(self, tiny_manifest, tiny_ds):
+        kept = load_dataset(tiny_manifest, exclude_device="b")
+        others = np.array(tiny_ds.devices) != "b"
         assert set(kept.devices) == {"a"}
-        assert set(held.devices) == {"b"}
-        assert len(kept) + len(held) == len(tiny_ds)
+        assert kept.names == tuple(np.array(tiny_ds.names)[others])
+        np.testing.assert_array_equal(kept.labels, tiny_ds.labels[others])
+        np.testing.assert_array_equal(kept.features, tiny_ds.features[others])
 
-    def test_exclude_unknown_device_rejected(self, tiny_ds):
+    def test_exclude_unknown_device_rejected(self, tiny_manifest):
         with pytest.raises(UsageError, match="zz"):
-            exclude_device(tiny_ds, "zz")
+            load_dataset(tiny_manifest, exclude_device="zz")
+
+    def test_exclude_only_device_rejected(self, tiny_manifest):
+        only_a = tiny_manifest.parent / "only_a.tsv"
+        write_manifest(only_a, [r for r in parse_manifest(tiny_manifest)
+                                if r.device_id == "a"])
+        with pytest.raises(UsageError, match="nothing left"):
+            load_dataset(only_a, exclude_device="a")
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        write_manifest(empty, [])
+        with pytest.raises(UsageError, match="no clips"):
+            load_dataset(empty)
+
+    def test_correction_fitted_on_kept_clips(self, tiny_manifest):
+        ds = load_dataset(tiny_manifest, fit_correction=True,
+                          exclude_device="b")
+        assert sorted(ds.correction.coeffs) == ["a"]
+        np.testing.assert_array_equal(
+            ds.features, extract_features(ds.clips, ds.correction))
+        train, val = split_train_val(ds, 0.25, seed=0)
+        assert train.correction is ds.correction is val.correction
+
+    def test_no_correction_by_default(self, tiny_ds):
+        assert tiny_ds.correction is None
+        np.testing.assert_array_equal(tiny_ds.features,
+                                      extract_features(tiny_ds.clips))
 
     def test_correction_covers_all_devices(self, tiny_ds):
         corr = estimate_dataset_correction(tiny_ds.clips)
