@@ -195,14 +195,21 @@ def cmd_augment_preview(args) -> int:
     seed = args.seed if args.seed is not None else 0
     count = min(args.count, len(rows))
     written = []
+    clips = {}
+
+    def load(r):
+        key = (r.filename, r.scene_label, r.device_id, r.city)
+        if key not in clips:
+            clips[key] = read_wav(os.path.join(base, r.filename), r.label_index,
+                                  r.device_id, r.city)
+        return clips[key]
+
     for r in rows[:count]:
-        clip = read_wav(os.path.join(base, r.filename), r.label_index,
-                        r.device_id, r.city)
+        clip = load(r)
         stem = os.path.splitext(os.path.basename(r.filename))[0]
         write_wav(os.path.join(args.out, f"{stem}_orig.wav"), clip.samples)
         same_label = [q for q in rows if q.scene_label == r.scene_label]
-        pool = [read_wav(os.path.join(base, q.filename), q.label_index,
-                         q.device_id, q.city) for q in same_label[:8]]
+        pool = [load(q) for q in same_label[:8]]
         rng = derive_rng(seed, PURPOSE_AUGMENT, 0, r.filename)
         shifted = pitch_shift(clip, 1.05)
         write_wav(os.path.join(args.out, f"{stem}_pitch105.wav"),

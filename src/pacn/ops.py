@@ -29,6 +29,9 @@ from .tensor import (
 )
 
 EPS = 1e-5  # shared epsilon for BN / LN / GRN / FIN
+# elements per depth-wise tap block: two float32 blocks and the input they
+# read stay within a 2 MiB L2 cache, and small maps still take few calls
+_DW_BLOCK = 1 << 17
 
 
 def _same_pad(dim: int, k: int, stride: int) -> tuple[int, int, int]:
@@ -62,7 +65,17 @@ def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1)) -> Tensor:
-    """Per-channel k x k convolution: w has shape (c, kf, kt)."""
+    """Per-channel k x k convolution: w has shape (c, kf, kt).
+
+    The zero-padded input is stored channel-major, so the n planes of one
+    channel are adjacent and tap (i, j) of a channel is one contiguous slice
+    at offset ``i * tp + j`` times the channel's weight. Taps run over blocks
+    of about ``_DW_BLOCK`` elements (samples of one channel, or all samples
+    of several channels), which keeps every temporary small; the stride-1
+    result is then cropped and subsampled. Every output and input-gradient
+    element adds its taps in (i, j) order starting from +0.0, as a
+    full-size tap-by-tap sum would.
+    """
     n, c, f, t = x.data.shape
     cw, kf, kt = w.data.shape
     if cw != c:
@@ -70,27 +83,69 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
     sf, st = stride
     of, pf0, pf1 = _same_pad(f, kf, sf)
     ot, pt0, pt1 = _same_pad(t, kt, st)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pf0, pf1), (pt0, pt1)))
-    out_data = np.zeros((n, c, of, ot), dtype=x.data.dtype)
-    for i in range(kf):
-        fe = i + (of - 1) * sf + 1
-        for j in range(kt):
-            te = j + (ot - 1) * st + 1
-            out_data += xp[:, :, i:fe:sf, j:te:st] * w.data[:, i, j][None, :, None, None]
+    fp, tp = f + pf0 + pf1, t + pt0 + pt1
+    plane = fp * tp
+    xpc = np.zeros((c, n, fp, tp), dtype=x.data.dtype)
+    xpc[:, :, pf0:pf0 + f, pt0:pt0 + t] = x.data.transpose(1, 0, 2, 3)
+    xflat = xpc.reshape(c, n * plane)
+    # stride-1 grid of rf x rt outputs per plane with row pitch tp; grid
+    # points past a row's or a plane's end read the next row or plane and
+    # are cropped
+    rf, rt = (of - 1) * sf + 1, (ot - 1) * st + 1
+    span = (rf - 1) * tp + rt
+    offsets = [i * tp + j for i in range(kf) for j in range(kt)]
+    per = max(1, min(n, _DW_BLOCK // plane))
+    cpb = max(1, min(c, _DW_BLOCK // max(n * plane, 1)))
+    blocks = [(c0, min(c0 + cpb, c), s0, min(s0 + per, n))
+              for c0 in range(0, c, cpb) for s0 in range(0, n, per)]
+    wcols = w.data.reshape(c, kf * kt, 1)
+    acc = np.empty((cpb, per * plane), dtype=x.data.dtype)
+    tmp = np.empty((cpb, per * plane), dtype=np.result_type(x.data, w.data))
+    out_data = np.empty((n, c, of, ot), dtype=x.data.dtype)
+    out_cm = out_data.transpose(1, 0, 2, 3)
+    for c0, c1, s0, s1 in blocks:
+        cb, m, base = c1 - c0, s1 - s0, s0 * plane
+        size = (m - 1) * plane + span
+        a, p = acc[:cb, :size], tmp[:cb, :size]
+        a.fill(0)
+        for k, o in enumerate(offsets):
+            np.multiply(xflat[c0:c1, base + o:base + o + size], wcols[c0:c1, k], out=p)
+            np.add(a, p, out=a)
+        out_cm[c0:c1, s0:s1] = acc[:cb, :m * plane].reshape(
+            cb, m, fp, tp)[:, :, :rf:sf, :rt:st]
     _tally_macs(n * of * ot * c * kf * kt)
     if b is not None:
         out_data += b.data.reshape(1, c, 1, 1)
 
     def bw(g):
-        gp = np.zeros_like(xp)
+        # g scattered onto the stride-1 grid: the zeros around its entries
+        # add nothing to the input positions a tap does not reach
+        gs = np.zeros((cpb, per * plane), dtype=g.dtype)
+        gs_taps = gs.reshape(cpb, per, fp, tp)[:, :, :rf:sf, :rt:st]
+        gp = np.empty((cpb, per * plane), dtype=x.data.dtype)
+        gtmp = np.empty((cpb, per * plane), dtype=np.result_type(g, w.data))
+        g_cm = g.transpose(1, 0, 2, 3)
+        dx = np.empty_like(x.data)
+        dx_cm = dx.transpose(1, 0, 2, 3)
+        for c0, c1, s0, s1 in blocks:
+            cb, m = c1 - c0, s1 - s0
+            size = (m - 1) * plane + span
+            gs_taps[:cb, :m] = g_cm[c0:c1, s0:s1]
+            gsb, gpb, p = gs[:cb, :size], gp[:cb], gtmp[:cb, :size]
+            gpb.fill(0)
+            for k, o in enumerate(offsets):
+                np.multiply(gsb, wcols[c0:c1, k], out=p)
+                np.add(gpb[:, o:o + size], p, out=gpb[:, o:o + size])
+            dx_cm[c0:c1, s0:s1] = gpb[:, :m * plane].reshape(
+                cb, m, fp, tp)[:, :, pf0:pf0 + f, pt0:pt0 + t]
+        xp = np.ascontiguousarray(xpc.transpose(1, 0, 2, 3))
         dw = np.empty_like(w.data)
         for i in range(kf):
             fe = i + (of - 1) * sf + 1
             for j in range(kt):
                 te = j + (ot - 1) * st + 1
-                gp[:, :, i:fe:sf, j:te:st] += g * w.data[:, i, j][None, :, None, None]
                 dw[:, i, j] = np.einsum("ncft,ncft->c", g, xp[:, :, i:fe:sf, j:te:st])
-        _accum(x, gp[:, :, pf0:pf0 + f, pt0:pt0 + t])
+        _accum(x, dx)
         _accum(w, dw)
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
@@ -112,22 +167,34 @@ def bsconv_forward(x: Tensor, pw_weight: Tensor, dw_weight: Tensor,
 
 
 def maxpool2d(x: Tensor, window) -> Tensor:
-    """Non-overlapping max pooling (stride = window), floor semantics."""
+    """Non-overlapping max pooling (stride = window), floor semantics.
+
+    Each output is the first maximal tap of its window in row-major order,
+    and the backward routes the gradient to that tap alone. The other taps
+    get ``g * 0``: a zero, or NaN where ``g`` is not finite.
+    """
     wf, wt = window
     n, c, f, t = x.data.shape
     fo, to = f // wf, t // wt
-    crop = x.data[:, :, :fo * wf, :to * wt]
-    xr = crop.reshape(n, c, fo, wf, to, wt).transpose(0, 1, 2, 4, 3, 5)
-    flat = xr.reshape(n, c, fo, to, wf * wt)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    taps = [(i, j) for i in range(wf) for j in range(wt)]
+
+    def tap(a, i, j):
+        return a[:, :, i:fo * wf:wf, j:to * wt:wt]
+
+    out_data = tap(x.data, 0, 0).copy()
+    for i, j in taps[1:]:
+        # np.maximum returns its second operand on ties, so the earlier
+        # tap's value (and sign of zero) is kept
+        np.maximum(tap(x.data, i, j), out_data, out=out_data)
 
     def bw(g):
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        dcrop = dflat.reshape(n, c, fo, to, wf, wt).transpose(0, 1, 2, 4, 3, 5)
         dx = np.zeros_like(x.data)
-        dx[:, :, :fo * wf, :to * wt] = dcrop.reshape(n, c, fo * wf, to * wt)
+        free = np.ones(out_data.shape, dtype=bool)
+        for i, j in taps:
+            hit = tap(x.data, i, j) == out_data
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=tap(dx, i, j))
         _accum(x, dx)
 
     return _make(out_data, (x,), bw)

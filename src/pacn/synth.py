@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import CLIP_SAMPLES, SAMPLE_RATE, write_wav
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .manifest import SCENE_LABELS, ManifestRow, write_manifest
 from .seeding import PURPOSE_SYNTH, derive_rng
 
@@ -39,6 +39,9 @@ class SynthSpec:
     noise_level: float = 0.25
 
     def validate(self) -> "SynthSpec":
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.classes <= len(SCENE_LABELS):
             raise ConfigError(f"classes must be in 1..{len(SCENE_LABELS)}, "
                               f"got {self.classes}")
@@ -60,6 +63,8 @@ class SynthSpec:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("synth spec must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:

@@ -148,8 +148,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not (t.requires_grad or t._parents):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass, and the out= array keeps a 0-d grad an ndarray
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

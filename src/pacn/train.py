@@ -26,7 +26,7 @@ from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
                     stft_magnitude)
 from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
                       apply_mixup, augment_clip, draw_mixup, estimate_correction)
-from .errors import ConfigError, TrainingError, UsageError
+from .errors import ConfigError, TrainingError, UsageError, check_field_types
 from .manifest import parse_manifest
 from .model import PacnConfig, PacnModel, features_to_input
 from .seeding import (PURPOSE_AUGMENT, PURPOSE_MIXUP, PURPOSE_SHUFFLE,
@@ -56,6 +56,9 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> "TrainConfig":
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.peak_lr <= 0:
@@ -69,6 +72,10 @@ class TrainConfig:
             raise ConfigError("kd_temperature must be positive")
         if self.mixup_alpha <= 0:
             raise ConfigError("mixup_alpha must be positive")
+        factors = self.augment.pitch_factors
+        if not factors or min(factors) <= 0:
+            raise ConfigError("augment pitch_factors must be a non-empty list "
+                              "of positive numbers")
         return self
 
     def effective_augment(self) -> AugmentConfig:
@@ -84,17 +91,21 @@ class TrainConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("train config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}")
         aug = raw.pop("augment", None)
         if aug is not None:
+            if not isinstance(aug, dict):
+                raise ConfigError("augment must be a JSON object")
             aug_known = {f.name for f in dataclasses.fields(AugmentConfig)}
             aug_unknown = set(aug) - aug_known
             if aug_unknown:
                 raise ConfigError(f"unknown augment fields: {sorted(aug_unknown)}")
-            if "pitch_factors" in aug:
+            if isinstance(aug.get("pitch_factors"), list):
                 aug["pitch_factors"] = tuple(aug["pitch_factors"])
             raw["augment"] = AugmentConfig(**aug)
         return cls(**raw).validate()

@@ -257,7 +257,8 @@ class TestAugmentPreview:
         assert run("--quiet", "augment-preview",
                    "--manifest", tmp_path / "d" / "manifest.tsv",
                    "--out", tmp_path / "prev", "--count", "2") == 0
-        assert len(calls) == 2 * (1 + 8)      # the clip, then its pool of 8
+        # both previewed clips are in their shared pool of 8: 8 distinct reads
+        assert len(calls) == len(set(calls)) == 8
 
 
 class TestArgHandling:
@@ -282,6 +283,23 @@ class TestArgHandling:
         assert logging.getLogger().level == logging.WARNING
         assert run("profile", "--config", work / "model.json") == 0
         assert logging.getLogger().level == logging.INFO
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("train-teacher", "--config", '{"epochs": "2"}'),
+        ("train-teacher", "--config", '{"augment": {"pitch_factors": 3}}'),
+        ("synth-data", "--spec", '5'),
+        ("synth-data", "--spec", '{"classes": "3"}'),
+    ])
+    def test_mistyped_config_fails_cleanly(self, work, tmp_path, capsys,
+                                           command, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        data = (["--manifest", work / "data" / "manifest.tsv"]
+                if command == "train-teacher" else [])
+        assert run("--quiet", command, flag, bad, *data,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_malformed_manifest_line_number(self, work, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -68,6 +68,70 @@ def naive_depthwise(x, w, stride):
     return out
 
 
+def slice_depthwise(x, w, b, stride, g):
+    """Tap-by-tap depth-wise conv on full-size 4-D slices, and its backward.
+
+    The blocked kernel must match this bit for bit: returns
+    (out, dx, dw, db) for upstream gradient ``g``.
+    """
+    n, c, f, t = x.shape
+    _, kf, kt = w.shape
+    sf, st = stride
+    of = -(-f // sf)
+    ot = -(-t // st)
+    pf_total = max((of - 1) * sf + kf - f, 0)
+    pt_total = max((ot - 1) * st + kt - t, 0)
+    pf0, pt0 = pf_total // 2, pt_total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pf0, pf_total - pf0), (pt0, pt_total - pt0)))
+    out = np.zeros((n, c, of, ot), dtype=x.dtype)
+    gp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    for i in range(kf):
+        fe = i + (of - 1) * sf + 1
+        for j in range(kt):
+            te = j + (ot - 1) * st + 1
+            tap = xp[:, :, i:fe:sf, j:te:st]
+            out += tap * w[:, i, j][None, :, None, None]
+            gp[:, :, i:fe:sf, j:te:st] += g * w[:, i, j][None, :, None, None]
+            dw[:, i, j] = np.einsum("ncft,ncft->c", g, tap)
+    out += b.reshape(1, c, 1, 1)
+    return out, gp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw, g.sum(axis=(0, 2, 3))
+
+
+def argmax_maxpool(x, window, g):
+    """Max pooling by argmax over copied windows, and its backward.
+
+    Returns (out, dx) for upstream gradient ``g``.
+    """
+    wf, wt = window
+    n, c, f, t = x.shape
+    fo, to = f // wf, t // wt
+    crop = x[:, :, :fo * wf, :to * wt]
+    flat = crop.reshape(n, c, fo, wf, to, wt).transpose(0, 1, 2, 4, 3, 5)
+    flat = flat.reshape(n, c, fo, to, wf * wt)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    dflat = np.zeros_like(flat)
+    np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+    dcrop = dflat.reshape(n, c, fo, to, wf, wt).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros_like(x)
+    dx[:, :, :fo * wf, :to * wt] = dcrop.reshape(n, c, fo * wf, to * wt)
+    return out, dx
+
+
+def run_with_grad(op, arrays, g):
+    """Forward ``op`` on leaf tensors, back-propagate ``g``, return out, grads."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    (out * Tensor(g)).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
 class TestConvolutions:
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
     def test_depthwise_matches_naive(self, stride):
@@ -93,6 +157,11 @@ class TestConvolutions:
         # interior sees all nine taps; borders lose mass to the zero padding
         np.testing.assert_allclose(out[0, 0, 1:-1, 1:-1], 3.0, rtol=1e-12)
         np.testing.assert_allclose(out[0, 0, 0, 0], 3.0 * 4 / 9, rtol=1e-12)
+
+    def test_empty_batch(self):
+        x = Tensor(np.zeros((0, 3, 8, 8), dtype=np.float32))
+        w = Tensor(np.zeros((3, 3, 3), dtype=np.float32))
+        assert depthwise_conv2d(x, w).shape == (0, 3, 8, 8)
 
     def test_same_geometry_output_shape(self):
         x = Tensor(np.zeros((1, 1, 65, 9), dtype=np.float32))
@@ -129,6 +198,39 @@ class TestConvolutions:
         assert_grads_ok(build)
 
 
+    def test_depthwise_gradients_stride_one(self):
+        def build(rng):
+            x = leaf(rng, (2, 2, 5, 7))
+            w = leaf(rng, (2, 3, 3))
+            b = leaf(rng, (2,))
+            def fn():
+                out = depthwise_conv2d(x, w, b)
+                return (out * out).mean()
+            return [x, w, b], fn
+        assert_grads_ok(build)
+
+    # tap blocks: (9, 2, 255, 65) splits the samples of a channel and
+    # (1, 3, 250, 197) groups channels, each with a partial last block
+    @pytest.mark.parametrize("shape, kernel", [
+        ((2, 3, 7, 5), (3, 3)), ((3, 2, 9, 13), (5, 3)), ((9, 2, 255, 65), (3, 3)),
+        ((1, 3, 250, 197), (3, 3)),
+    ])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2)])
+    def test_depthwise_matches_slice_oracle_bitwise(self, shape, kernel, stride):
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.standard_normal(shape), 0).astype(np.float32)
+        w = rng.standard_normal((shape[1],) + kernel).astype(np.float32)
+        b = rng.standard_normal(shape[1]).astype(np.float32)
+        out_shape = (shape[0], shape[1], -(-shape[2] // stride[0]),
+                     -(-shape[3] // stride[1]))
+        g = rng.standard_normal(out_shape).astype(np.float32)
+        out, grads = run_with_grad(
+            lambda x, w, b: depthwise_conv2d(x, w, b, stride=stride), [x, w, b], g)
+        want = slice_depthwise(x, w, b, stride, g)
+        for got, ref in zip([out] + grads, want):
+            assert_same_bits(got, ref)
+
+
 class TestPooling:
     def test_maxpool_hand_example(self):
         x = np.array([[1, 2, 5, 3],
@@ -158,6 +260,32 @@ class TestPooling:
                 return (m * m).mean()
             return [x], fn
         assert_grads_ok(build)
+
+    @pytest.mark.parametrize("window", [(2, 2), (4, 2)])
+    @pytest.mark.parametrize("size", [(5, 7), (256, 65)])
+    def test_maxpool_matches_argmax_oracle_bitwise(self, size, window):
+        rng = np.random.default_rng(8)
+        # post-ReLU input: many windows tie at zero
+        x = np.maximum(rng.standard_normal((2, 3) + size), 0).astype(np.float32)
+        g = rng.standard_normal((2, 3, size[0] // window[0],
+                                 size[1] // window[1])).astype(np.float32)
+        out, (dx,) = run_with_grad(lambda x: maxpool2d(x, window), [x], g)
+        want_out, want_dx = argmax_maxpool(x, window, g)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize("value", [0.0, 3.0])
+    def test_maxpool_tied_window_routes_to_first_tap(self, value):
+        x = np.full((1, 1, 4, 2), value, dtype=np.float32)
+        if value == 0.0:
+            x[0, 0, 0, 0] = -0.0        # ties with +0.0; argmax keeps the first
+        out, (dx,) = run_with_grad(lambda x: maxpool2d(x, (4, 2)), [x],
+                                   np.full((1, 1, 1, 1), 2.0, dtype=np.float32))
+        want = np.zeros((4, 2), dtype=np.float32)
+        want[0, 0] = 2.0
+        np.testing.assert_array_equal(dx[0, 0], want)
+        assert out[0, 0, 0, 0] == value
+        assert np.signbit(out[0, 0, 0, 0]) == np.signbit(x[0, 0, 0, 0])
 
     def test_global_avg_pool(self):
         rng = np.random.default_rng(4)

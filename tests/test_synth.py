@@ -1,13 +1,26 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacn.audio import CLIP_SAMPLES, read_wav
-from pacn.errors import ConfigError
+from pacn.errors import ConfigError, PacnError
 from pacn.manifest import SCENE_LABELS, parse_manifest
 from pacn.seeding import PURPOSE_SYNTH, derive_rng
 from pacn.synth import (SynthSpec, class_recipe, device_tilt_exponent,
                         generate_synth_dataset, render_clip)
 from pacn.train import load_dataset
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+SPEC_FIELDS = [f.name for f in dataclasses.fields(SynthSpec)]
 
 
 def small_spec(**kw):
@@ -28,6 +41,23 @@ class TestSpec:
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             SynthSpec.from_json("{nope")
+
+    @pytest.mark.parametrize("text", [
+        '5', '[]', '{"classes": "3"}', '{"tone_level": Infinity}', '{"seed": -2}',
+    ])
+    def test_mistyped_json_rejected(self, text):
+        with pytest.raises(ConfigError):
+            SynthSpec.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES,
+                     st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES)))
+    def test_json_loads_or_raises_pacn_error(self, doc):
+        try:
+            spec = SynthSpec.from_json(json.dumps(doc))
+        except PacnError:
+            return
+        assert spec.validate() is spec
 
     @pytest.mark.parametrize("kw", [
         {"classes": 0}, {"classes": 11}, {"devices": 0}, {"devices": 10},

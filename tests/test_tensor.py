@@ -64,6 +64,13 @@ class TestTensorBasics:
         backward(loss)
         np.testing.assert_allclose(t.grad, [5.0, 7.0])
 
+    def test_zero_d_grad_stays_ndarray(self):
+        rho = Tensor(np.array(0.5, dtype=np.float32), requires_grad=True)
+        backward((Tensor(np.ones(3, dtype=np.float32)) * rho).sum())
+        assert type(rho.grad) is np.ndarray
+        assert rho.grad.shape == () and rho.grad.dtype == np.float32
+        assert rho.grad == 3.0
+
     def test_backward_reaches_diamond_graph(self):
         t = Tensor(np.array(3.0), requires_grad=True)
         a = t * 2.0

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacn.augment import AugmentConfig
-from pacn.errors import ConfigError, TrainingError, UsageError
+from pacn.errors import ConfigError, PacnError, TrainingError, UsageError
 from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
 from pacn.manifest import parse_manifest, write_manifest
@@ -19,6 +21,15 @@ from pacn.train import (Adam, METRICS_COLUMNS, TrainConfig, estimate_dataset_cor
 TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
             gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4, shuffle_groups=2,
             num_classes=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+TRAIN_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
+AUGMENT_FIELDS = [f.name for f in dataclasses.fields(AugmentConfig)]
 
 
 def tiny_config(**kw):
@@ -86,6 +97,26 @@ class TestTrainConfig:
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
+
+    @pytest.mark.parametrize("text", [
+        '5', '{"epochs": "2"}', '{"augment": 3}',
+        '{"augment": {"pitch_factors": 3}}', '{"kd_t2_scale": 1}',
+        '{"peak_lr": NaN}', '{"seed": -1}', '{"augment": {"pitch_factors": []}}',
+    ])
+    def test_mistyped_json_rejected(self, text):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, st.dictionaries(
+        st.sampled_from(TRAIN_FIELDS),
+        JSON_VALUES | st.dictionaries(st.sampled_from(AUGMENT_FIELDS), JSON_VALUES))))
+    def test_json_loads_or_raises_pacn_error(self, doc):
+        try:
+            cfg = TrainConfig.from_json(json.dumps(doc))
+        except PacnError:
+            return
+        assert cfg.validate() is cfg
 
     def test_effective_augment_folds_alpha(self):
         cfg = TrainConfig(mixup_alpha=0.7)
