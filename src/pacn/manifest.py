@@ -36,26 +36,31 @@ class ManifestRow:
 
 
 def parse_manifest(path) -> list[ManifestRow]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                             f"{exc.reason})") from None
+    header = lines[0].rstrip("\n") if lines else ""
+    if tuple(header.split("\t")) != COLUMNS:
+        raise IngestionError(f"{path}:1: expected header "
+                             f"{chr(9).join(COLUMNS)!r}, got {header!r}")
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != COLUMNS:
-            raise IngestionError(f"{path}:1: expected header "
-                                 f"{chr(9).join(COLUMNS)!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(COLUMNS):
-                raise IngestionError(f"{path}:{lineno}: expected "
-                                     f"{len(COLUMNS)} tab-separated fields, "
-                                     f"got {len(fields)}")
-            filename, label, device, city = fields
-            if label not in LABEL_INDEX:
-                raise IngestionError(f"{path}:{lineno}: unknown scene label "
-                                     f"{label!r}")
-            rows.append(ManifestRow(filename, label, device, city))
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(COLUMNS):
+            raise IngestionError(f"{path}:{lineno}: expected "
+                                 f"{len(COLUMNS)} tab-separated fields, "
+                                 f"got {len(fields)}")
+        filename, label, device, city = fields
+        if label not in LABEL_INDEX:
+            raise IngestionError(f"{path}:{lineno}: unknown scene label "
+                                 f"{label!r}")
+        rows.append(ManifestRow(filename, label, device, city))
     return rows
 
 

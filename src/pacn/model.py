@@ -30,7 +30,9 @@ WIRING_MODES = ("parallel", "serial", "no_fusion")
 
 
 def _positive_ints(values) -> bool:
-    return all(isinstance(v, (int, np.integer)) and v >= 1 for v in values)
+    # bool is an int subclass, but JSON true is no size
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and v >= 1 for v in values)
 
 
 @dataclass
@@ -73,6 +75,9 @@ class PacnConfig:
         if fused % self.shuffle_groups != 0:
             raise ConfigError(f"fused width {fused} not divisible by "
                               f"{self.shuffle_groups} shuffle groups")
+        if not isinstance(self.arn_enabled, bool):
+            raise ConfigError("arn_enabled must be true or false, got "
+                              f"{type(self.arn_enabled).__name__}")
         if self.wiring_mode not in WIRING_MODES:
             raise ConfigError(f"unknown wiring mode {self.wiring_mode!r}; "
                               f"expected one of {WIRING_MODES}")

@@ -14,7 +14,9 @@ from .tensor import (
     Tensor,
     _accum,
     _make,
+    _norm_axes,
     _tally_macs,
+    _unbroadcast,
     concat,
     exp,
     log,
@@ -254,37 +256,112 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return tmean(x, axis=(2, 3))
 
 
+def normalize(x: Tensor, axes, gamma: Tensor | None = None,
+              beta: Tensor | None = None, rho: Tensor | None = None):
+    """``gamma * (rho * x + (1 - rho) * xhat) + beta`` as one graph node.
+
+    ``xhat`` is ``x`` standardized over ``axes`` with the biased variance and
+    ``EPS``; without ``rho`` the blend is skipped, and without ``gamma`` /
+    ``beta`` the affine is. ``gamma`` and ``beta`` must broadcast against
+    ``x``. Returns ``(out, mean, var)``: the batch mean and biased variance
+    (keepdims arrays) let batch norm update its running statistics without
+    computing them again. The backward is the closed form of Ioffe &
+    Szegedy 2015 (arXiv:1502.03167), extended by the ``rho`` blend.
+    """
+    axes = _norm_axes(axes, x.data.ndim)
+    mean = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mean
+    buf = np.multiply(xhat, xhat)
+    var = buf.mean(axis=axes, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + EPS)
+    xhat *= rstd
+    # the output reuses the squares' buffer; blending, then scaling, then
+    # shifting rounds each element as the composite ops in the tests do
+    out_data = xhat
+    if rho is not None:
+        out_data = np.multiply(xhat, 1.0 - rho.data, out=buf)
+        out_data += x.data * rho.data
+    if gamma is not None:
+        out_data = np.multiply(out_data, gamma.data, out=buf)
+    if beta is not None:
+        out_data = np.add(out_data, beta.data, out=buf)
+
+    def bw(g):
+        # dx = k * (gh - mean(gh) - xhat * mean(gh * xhat)) + rho * gh, with
+        # gh = g * gamma and k = rstd * (1 - rho). Sums over the normalized
+        # axes along which gamma and beta are constant come first, so little
+        # work is done at full size.
+        affine = [(1,) * (x.data.ndim - p.data.ndim) + p.data.shape
+                  for p in (gamma, beta) if p is not None]
+        inner = tuple(i for i in axes if all(s[i] == 1 for s in affine))
+        outer = tuple(i for i in axes if i not in inner)
+        count = int(np.prod([x.data.shape[i] for i in axes]))
+        gam = 1.0 if gamma is None else gamma.data
+        k = rstd if rho is None else rstd * (1.0 - rho.data)
+        g_in = g.sum(axis=inner, keepdims=True)
+        tmp = np.multiply(g, xhat)
+        gxhat_in = tmp.sum(axis=inner, keepdims=True)
+        m1 = (gam * g_in).sum(axis=outer, keepdims=True) / count
+        m2 = (gam * gxhat_in).sum(axis=outer, keepdims=True) / count
+        dx = g * (gam * (k if rho is None else k + rho.data))
+        dx -= np.multiply(xhat, k * m2, out=tmp)
+        dx -= k * m1
+        h_in = gxhat_in
+        if rho is not None:
+            gx_in = np.multiply(g, x.data, out=tmp).sum(axis=inner, keepdims=True)
+            # d/drho of rho * x + (1 - rho) * xhat is x - xhat
+            drho = np.sum(gam * (gx_in - gxhat_in))
+            _accum(rho, np.asarray(drho, dtype=rho.data.dtype))
+            h_in = rho.data * gx_in + (1.0 - rho.data) * gxhat_in
+        _accum(x, dx)
+        if gamma is not None:
+            _accum(gamma, _unbroadcast(h_in, gamma.data.shape))
+        if beta is not None:
+            _accum(beta, _unbroadcast(g_in, beta.data.shape))
+
+    parents = tuple(t for t in (x, gamma, beta, rho) if t is not None)
+    return _make(out_data, parents, bw), mean, var
+
+
+def _channel_view(t: Tensor) -> Tensor:
+    """(c,) per-channel parameter -> (1, c, 1, 1) for (n, c, f, t) maps."""
+    return reshape(t, (1, t.data.shape[0], 1, 1))
+
+
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_stats,
                        training: bool, momentum: float = 0.1) -> Tensor:
     """Per-channel normalization over (n, f, t).
 
     ``running_stats`` is a dict with mutable "mean"/"var" arrays, updated in
-    place during training and used verbatim at inference.
+    place during training and used verbatim at inference, where the layer is
+    the affine map ``x * scale + shift``.
     """
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ConfigError(f"batch norm affine params must have shape ({c},)")
-    gam = reshape(gamma, (1, c, 1, 1))
-    bet = reshape(beta, (1, c, 1, 1))
     if training:
-        mu = tmean(x, axis=(0, 2, 3), keepdims=True)
-        xc = x - mu
-        var = tmean(mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-        out = mul(xc, div_rsqrt(var)) * gam + bet
+        out, mu, var = normalize(x, (0, 2, 3), _channel_view(gamma),
+                                 _channel_view(beta))
         m = running_stats["mean"]
         v = running_stats["var"]
-        m += momentum * (mu.data.reshape(c).astype(m.dtype) - m)
-        v += momentum * (var.data.reshape(c).astype(v.dtype) - v)
+        m += momentum * (mu.reshape(c).astype(m.dtype) - m)
+        v += momentum * (var.reshape(c).astype(v.dtype) - v)
         return out
-    rm = running_stats["mean"].reshape(1, c, 1, 1).astype(x.data.dtype)
-    rv = running_stats["var"].reshape(1, c, 1, 1).astype(x.data.dtype)
-    scale = 1.0 / np.sqrt(rv + EPS)
-    return (x - Tensor(rm)) * Tensor(scale) * gam + bet
+    dtype = x.data.dtype
+    rm = running_stats["mean"].astype(dtype)
+    inv = 1.0 / np.sqrt(running_stats["var"].astype(dtype) + EPS)
+    scale = gamma.data * inv
+    shift = beta.data - rm * scale
+    out_data = x.data * scale.reshape(1, c, 1, 1)
+    out_data += shift.reshape(1, c, 1, 1)
 
+    def bw(g):
+        _accum(x, g * scale.reshape(1, c, 1, 1))
+        xc = x.data - rm.reshape(1, c, 1, 1)
+        _accum(gamma, (g * xc).sum(axis=(0, 2, 3)) * inv)
+        _accum(beta, g.sum(axis=(0, 2, 3)))
 
-def div_rsqrt(var: Tensor) -> Tensor:
-    """1 / sqrt(var + EPS), as a differentiable composite."""
-    return 1.0 / sqrt(var + EPS)
+    return _make(out_data, (x, gamma, beta), bw)
 
 
 def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -292,10 +369,7 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ConfigError(f"layer norm affine params must have shape ({d},)")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    return mul(xc, div_rsqrt(var)) * gamma + beta
+    return normalize(x, -1, gamma, beta)[0]
 
 
 def grn_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -317,19 +391,13 @@ def grn_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def fin_forward(x: Tensor) -> Tensor:
     """Instance normalization retaining (n, f): stats over (c, t) per (n, f)."""
-    mu = tmean(x, axis=(1, 3), keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=(1, 3), keepdims=True)
-    return mul(xc, div_rsqrt(var))
+    return normalize(x, (1, 3))[0]
 
 
 def arn_forward(x: Tensor, rho: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Learnable blend of identity and FIN, then per-channel scale/shift."""
-    c = x.data.shape[1]
-    gam = reshape(gamma, (1, c, 1, 1))
-    bet = reshape(beta, (1, c, 1, 1))
-    blended = mul(x, rho) + mul(fin_forward(x), 1.0 - rho)
-    return mul(blended, gam) + bet
+    return normalize(x, (1, 3), _channel_view(gamma), _channel_view(beta),
+                     rho)[0]
 
 
 def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -385,7 +453,7 @@ __all__ = [
     "bsconv_forward", "channel_shuffle", "concat", "cross_entropy",
     "depthwise_conv2d", "fc_forward", "fin_forward", "global_avg_pool",
     "grn_forward", "kl_from_teacher", "layer_norm_forward", "log",
-    "log_softmax", "matmul", "maxpool2d", "mha_forward", "mul",
+    "log_softmax", "matmul", "maxpool2d", "mha_forward", "mul", "normalize",
     "pointwise_conv2d", "relu", "reshape", "softmax", "sqrt", "tmean",
     "transpose", "tsum", "exp",
 ]

@@ -148,8 +148,9 @@ def verify_against_runtime(config: PacnConfig, in_shape=(256, 65),
     """Run one instrumented forward pass and compare multiply counts.
 
     The runtime tally sees exactly the conv/FC/attention kernel multiplies
-    (normalizations are composed from elementwise ops the tally ignores), so
-    it must equal the profiler's kernel subtotal, not its grand total.
+    (BN, LN, FIN and ARN are the one ``ops.normalize`` op, which tallies
+    nothing, and GRN is built from elementwise ops the tally ignores), so it
+    must equal the profiler's kernel subtotal, not its grand total.
     """
     report = profile(config, in_shape)
     model = PacnModel(config, seed=seed)

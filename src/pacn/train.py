@@ -432,9 +432,9 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
             logits = model(x, training=True)
             teacher_logits = None
             if lam < 1.0:
+                # the teacher reads the student's input; nothing mutates it
                 with no_grad():
-                    teacher_logits = teacher(features_to_input(x_np),
-                                             training=False).data
+                    teacher_logits = teacher(x, training=False).data
             parts = kd_loss(logits, y, teacher_logits, lam,
                             cfg.kd_temperature, cfg.kd_t2_scale)
             total_val = float(parts.total.data)

@@ -301,6 +301,26 @@ class TestArgHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ['{"arn_enabled": "no"}',
+                                      '{"gci_heads": true}',
+                                      '{"pre_channels": [true, 16]}'])
+    def test_mistyped_model_config_fails_cleanly(self, tmp_path, capsys, text):
+        bad = tmp_path / "model.json"
+        bad.write_text(text)
+        assert run("profile", "--config", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_manifest_fails_cleanly(self, work, tmp_path, capsys):
+        raw = (work / "data" / "manifest.tsv").read_bytes()
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(raw.replace(b".wav", b"\xff.wav", 1))
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--manifest", bad, "--out", tmp_path / "t.ckpt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "UTF-8" in err
+
     def test_malformed_manifest_line_number(self, work, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("filename\tscene_label\tdevice_id\tcity\n"

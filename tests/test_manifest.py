@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacn.errors import IngestionError
+from pacn.errors import IngestionError, PacnError
 from pacn.manifest import (COLUMNS, LABEL_INDEX, SCENE_LABELS, ManifestRow,
                            parse_manifest, write_manifest)
 
@@ -91,3 +91,31 @@ class TestErrors:
                         "a.wav\tbus\ta\tparis\textra\n")
         with pytest.raises(IngestionError, match=r":2"):
             parse_manifest(path)
+
+    def test_non_utf8_row_rejected(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(("\t".join(COLUMNS) + "\n").encode()
+                         + b"a\xff.wav\tbus\ta\tparis\n")
+        with pytest.raises(IngestionError, match="UTF-8") as info:
+            parse_manifest(path)
+        assert str(path) in str(info.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_flip_parses_or_raises_pacn_error(self, tmp_path_factory,
+                                                     data):
+        path = tmp_path_factory.mktemp("m") / "m.tsv"
+        write_manifest(path, make_rows())
+        raw = path.read_bytes()
+        if data.draw(st.booleans(), label="cut"):
+            raw = raw[:data.draw(st.integers(0, len(raw)), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            raw = raw[:pos] + bytes([raw[pos] ^ flip]) + raw[pos + 1:]
+        path.write_bytes(raw)
+        try:
+            rows = parse_manifest(path)
+        except PacnError:
+            return
+        assert all(r.scene_label in LABEL_INDEX for r in rows)

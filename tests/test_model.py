@@ -1,5 +1,8 @@
 """Model: FIN/ARN semantics, branch contracts, wiring modes, checkpoints."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,14 @@ from pacn import ops
 from pacn.errors import ConfigError, IngestionError, PacnError
 from pacn.model import PacnConfig, PacnModel, features_to_input
 from pacn.tensor import Tensor, backward, no_grad
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+SMALL_INTS = st.integers(-1, 8) | st.booleans()
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(PacnConfig)]
 
 TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
             gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4, shuffle_groups=2,
@@ -228,6 +239,32 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             PacnConfig.from_json('{"dropout": 0.5}')
+
+    @pytest.mark.parametrize("text", [
+        '{"arn_enabled": "no"}', '{"arn_enabled": 0}', '{"gci_heads": true}',
+        '{"pre_channels": [true, 16]}', '{"pre_pools": [[4, 2], [true, 2]]}',
+        '{"num_classes": 10.0}',
+    ])
+    def test_mistyped_json_rejected(self, text):
+        with pytest.raises(ConfigError):
+            PacnConfig.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, st.dictionaries(
+        st.sampled_from(CONFIG_FIELDS),
+        JSON_VALUES | st.lists(SMALL_INTS, max_size=3)
+        | st.lists(st.lists(SMALL_INTS, max_size=3), max_size=3))))
+    def test_json_loads_or_raises_pacn_error(self, doc):
+        try:
+            cfg = PacnConfig.from_json(json.dumps(doc))
+        except PacnError:
+            return
+        assert isinstance(cfg.arn_enabled, bool)
+        ints = [cfg.gci_embed_dim, cfg.gci_heads, cfg.gci_mlp_hidden,
+                cfg.shuffle_groups, cfg.num_classes, cfg.in_channels,
+                *cfg.pre_channels, *cfg.lci_channels,
+                *(v for pool in cfg.pre_pools for v in pool)]
+        assert all(type(v) is int for v in ints)
 
     def test_shipped_configs_load(self):
         import importlib.resources as res

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pacn.errors import ConfigError
 from pacn.gradcheck import check_gradients
 from pacn.ops import (
+    EPS,
     arn_forward,
     batch_norm_forward,
     bsconv_forward,
@@ -23,10 +24,11 @@ from pacn.ops import (
     log_softmax,
     maxpool2d,
     mha_forward,
+    normalize,
     pointwise_conv2d,
     softmax,
 )
-from pacn.tensor import Tensor, count_multiplies
+from pacn.tensor import Tensor, backward, count_multiplies, mul, reshape, sqrt, tmean, tsum
 
 SEEDS = range(5)
 
@@ -96,6 +98,45 @@ def slice_depthwise(x, w, b, stride, g):
             dw[:, i, j] = np.einsum("ncft,ncft->c", g, tap)
     out += b.reshape(1, c, 1, 1)
     return out, gp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw, g.sum(axis=(0, 2, 3))
+
+
+def composite_standardize(x, axes):
+    """(x - mean) / sqrt(var + EPS) over ``axes`` from elementwise graph
+    ops; returns the tensor and the mean and variance tensors."""
+    mu = tmean(x, axis=axes, keepdims=True)
+    xc = x - mu
+    var = tmean(mul(xc, xc), axis=axes, keepdims=True)
+    return mul(xc, 1.0 / sqrt(var + EPS)), mu, var
+
+
+def composite_batch_norm(x, gamma, beta, stats, training, momentum=0.1):
+    """Batch norm as composed graph ops; the ``normalize`` op must match it."""
+    c = x.data.shape[1]
+    gam = reshape(gamma, (1, c, 1, 1))
+    bet = reshape(beta, (1, c, 1, 1))
+    if training:
+        xhat, mu, var = composite_standardize(x, (0, 2, 3))
+        m, v = stats["mean"], stats["var"]
+        m += momentum * (mu.data.reshape(c).astype(m.dtype) - m)
+        v += momentum * (var.data.reshape(c).astype(v.dtype) - v)
+        return xhat * gam + bet
+    rm = stats["mean"].reshape(1, c, 1, 1).astype(x.data.dtype)
+    rv = stats["var"].reshape(1, c, 1, 1).astype(x.data.dtype)
+    return (x - Tensor(rm)) * Tensor(1.0 / np.sqrt(rv + EPS)) * gam + bet
+
+
+def composite_layer_norm(x, gamma, beta):
+    return composite_standardize(x, -1)[0] * gamma + beta
+
+
+def composite_fin(x):
+    return composite_standardize(x, (1, 3))[0]
+
+
+def composite_arn(x, rho, gamma, beta):
+    c = x.data.shape[1]
+    blended = mul(x, rho) + mul(composite_fin(x), 1.0 - rho)
+    return mul(blended, reshape(gamma, (1, c, 1, 1))) + reshape(beta, (1, c, 1, 1))
 
 
 def argmax_maxpool(x, window, g):
@@ -453,6 +494,114 @@ class TestNormalizations:
                 return (h * h).mean()
             return [x, gamma, beta], fn
         assert_grads_ok(build)
+
+
+NORMS = {
+    # name: (op, composite oracle, input shape, affine width axis)
+    "bn-train": (lambda x, r, g, b, s: batch_norm_forward(x, g, b, s, True),
+                 lambda x, r, g, b, s: composite_batch_norm(x, g, b, s, True),
+                 (8, 6, 64, 33), 1),
+    "bn-eval": (lambda x, r, g, b, s: batch_norm_forward(x, g, b, s, False),
+                lambda x, r, g, b, s: composite_batch_norm(x, g, b, s, False),
+                (8, 6, 64, 33), 1),
+    "ln": (lambda x, r, g, b, s: layer_norm_forward(x, g, b),
+           lambda x, r, g, b, s: composite_layer_norm(x, g, b),
+           (4, 33, 64), 2),
+    "fin": (lambda x, r, g, b, s: fin_forward(x),
+            lambda x, r, g, b, s: composite_fin(x),
+            (8, 6, 64, 33), 1),
+    "arn": (lambda x, r, g, b, s: arn_forward(x, r, g, b),
+            lambda x, r, g, b, s: composite_arn(x, r, g, b),
+            (8, 6, 64, 33), 1),
+}
+
+
+def run_norm(fn, shape, width_axis, dtype, seed):
+    """Output, (x, gamma, beta, rho) grads and running stats of one call."""
+    rng = np.random.default_rng(seed)
+    d = shape[width_axis]
+    x = Tensor((rng.standard_normal(shape) * 3 + 2).astype(dtype), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, d).astype(dtype), requires_grad=True)
+    beta = Tensor(rng.standard_normal(d).astype(dtype), requires_grad=True)
+    rho = Tensor(np.array(rng.uniform(0.2, 0.8), dtype=dtype), requires_grad=True)
+    stats = {"mean": rng.standard_normal(d).astype(dtype),
+             "var": rng.uniform(0.5, 2.0, d).astype(dtype)}
+    out = fn(x, rho, gamma, beta, stats)
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    backward(tsum(mul(out, w)))
+    return out.data, [t.grad for t in (x, gamma, beta, rho)], stats
+
+
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestNormalizeOp:
+    @pytest.mark.parametrize("dtype, out_tol, grad_tol", [
+        (np.float32, 1e-6, 1e-5), (np.float64, 1e-12, 1e-12)])
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_matches_composite_oracle(self, name, dtype, out_tol, grad_tol):
+        op, oracle, shape, width_axis = NORMS[name]
+        for seed in range(3):
+            out, grads, _ = run_norm(op, shape, width_axis, dtype, seed)
+            ref, ref_grads, _ = run_norm(oracle, shape, width_axis, dtype, seed)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert rel_err(out, ref) <= out_tol
+            for got, want in zip(grads, ref_grads):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.shape == want.shape
+                    assert rel_err(got, want) <= grad_tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_norm_running_stats_match_oracle(self, dtype):
+        op, oracle, shape, width_axis = NORMS["bn-train"]
+        _, _, stats = run_norm(op, shape, width_axis, dtype, 4)
+        _, _, ref = run_norm(oracle, shape, width_axis, dtype, 4)
+        np.testing.assert_array_equal(stats["mean"], ref["mean"])
+        np.testing.assert_array_equal(stats["var"], ref["var"])
+
+    @pytest.mark.parametrize("blend", [False, True])
+    @pytest.mark.parametrize("shape, axes, affine", [
+        ((3, 2, 4, 3), (0, 2, 3), (1, 2, 1, 1)),
+        ((2, 3, 5), (-1,), (5,)),
+        ((2, 3, 4, 3), (1, 3), (1, 3, 1, 1)),
+    ])
+    def test_normalize_gradients(self, shape, axes, affine, blend):
+        def build(rng):
+            x = leaf(rng, shape)
+            gamma = leaf(rng, affine, lo=0.5, hi=1.5)
+            beta = leaf(rng, affine)
+            rho = Tensor(np.float64(rng.uniform(0.2, 0.8)), requires_grad=True)
+            w = Tensor(rng.standard_normal(shape))
+            def fn():
+                out = normalize(x, axes, gamma, beta, rho if blend else None)[0]
+                return (out * out * w).mean()
+            return [x, gamma, beta] + ([rho] if blend else []), fn
+        assert_grads_ok(build)
+
+    @pytest.mark.parametrize("blend", [False, True])
+    def test_constant_slice_stays_finite(self, blend):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32),
+                   requires_grad=True)
+        x.data[1, :, 2, :] = 7.0        # variance 0 over (c, t) at (n=1, f=2)
+        x.data[:, 1] = -2.0             # variance 0 over (n, f, t) in channel 1
+        gamma = Tensor(np.full((1, 3, 1, 1), 1.5, np.float32), requires_grad=True)
+        beta = Tensor(np.full((1, 3, 1, 1), 0.5, np.float32), requires_grad=True)
+        rho = Tensor(np.float32(0.25), requires_grad=True) if blend else None
+        w = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
+        for axes in ((1, 3), (0, 2, 3)):
+            params = [x, gamma, beta] + ([rho] if blend else [])
+            for p in params:
+                p.zero_grad()
+            out = normalize(x, axes, gamma, beta, rho)[0]
+            backward(tsum(mul(out, w)))
+            assert np.isfinite(out.data).all()
+            assert all(np.isfinite(p.grad).all() for p in params)
+        if not blend:
+            # a constant slice standardizes to 0, so only beta is left
+            np.testing.assert_array_equal(out.data[:, 1], 0.5)
 
 
 class TestAttention:
