@@ -21,9 +21,9 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .augment import augment_clip, pitch_shift
 from .errors import IngestionError, PacnError, UsageError
-from .evalstats import (draw_subsets, evaluate, format_eval_text, predict,
-                        rank_report, subset_accuracy_row, write_eval_csv,
-                        write_rank_csv, write_rank_svg)
+from .evalstats import (draw_subsets, evaluate, format_eval_text, rank_report,
+                        subset_accuracy_row, write_eval_csv, write_rank_csv,
+                        write_rank_svg)
 from .manifest import parse_manifest
 from .model import PacnConfig, PacnModel
 from .profiler import profile, verify_against_runtime
@@ -120,8 +120,7 @@ def cmd_eval(args) -> int:
     if args.subset_scores:
         seed = args.seed if args.seed is not None else 0
         subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
-        correct = predict(model, ds.features) == ds.labels
-        row = subset_accuracy_row(correct, subsets)
+        row = subset_accuracy_row(result.predictions == ds.labels, subsets)
         with open(args.subset_scores, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method"]

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the config field check
-that raises them."""
+"""Exception types shared across the package, and the JSON config loader and
+field check that raise them."""
 
 import dataclasses
+import json
 import sys
 
 
@@ -32,13 +33,17 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _default(f: dataclasses.Field):
+    return (f.default if f.default_factory is dataclasses.MISSING
+            else f.default_factory())
+
+
 def check_field_types(config) -> None:
     """Raise ``ConfigError`` unless every field of a config dataclass holds a
     value of its default's kind: bool, int, finite number, str, tuple of
     finite numbers, or a nested config (checked the same way)."""
     for f in dataclasses.fields(config):
-        default = (f.default if f.default_factory is dataclasses.MISSING
-                   else f.default_factory())
+        default = _default(f)
         value = getattr(config, f.name)
         if dataclasses.is_dataclass(default):
             if not isinstance(value, type(default)):
@@ -60,3 +65,52 @@ def check_field_types(config) -> None:
         if not ok:
             raise ConfigError(f"{f.name} must be {kind}, "
                               f"got {type(value).__name__}")
+
+
+def _build(cls, raw, what: str):
+    """Config dataclass ``cls`` from a decoded JSON object, unvalidated."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in raw.items():
+        default = _default(fields[name])
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, name)
+        elif isinstance(default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+class JsonConfig:
+    """JSON round trip for a config dataclass with a ``validate`` method.
+
+    Every malformed document, unknown field or undecodable file raises
+    ``ConfigError``; nested config dataclasses are read from JSON objects.
+    """
+
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        return _build(cls, raw, "config").validate()
+
+    @classmethod
+    def from_file(cls, path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                              f"{exc.reason})") from None
+        return cls.from_json(text)

@@ -20,7 +20,6 @@ from .errors import UsageError
 from .manifest import SCENE_LABELS
 from .model import PacnModel, features_to_input
 from .seeding import PURPOSE_SUBSET, derive_rng
-from .tensor import no_grad
 
 # infinite-df studentized range quantiles divided by sqrt(2), k = 2..10
 Q_ALPHA = {
@@ -43,11 +42,10 @@ def predict(model: PacnModel, features: np.ndarray,
     if len(features) == 0:
         raise UsageError("empty feature set")
     preds = []
-    with no_grad():
-        for start in range(0, len(features), batch_size):
-            x = features_to_input(features[start:start + batch_size])
-            logits = model(x, training=False).data
-            preds.append(logits.argmax(axis=-1))
+    for start in range(0, len(features), batch_size):
+        x = features_to_input(features[start:start + batch_size])
+        logits = model(x, training=False).data
+        preds.append(logits.argmax(axis=-1))
     return np.concatenate(preds).astype(np.int64)
 
 
@@ -57,6 +55,7 @@ class EvalResult:
     per_device_accuracy: dict[str, float]
     per_class_accuracy: dict[str, float]
     confusion: np.ndarray               # (C, C) counts, rows = true class
+    predictions: np.ndarray             # (n,) predicted class per clip
     unseen_devices: tuple[str, ...] = ()
     n_clips: int = 0
 
@@ -88,6 +87,7 @@ def evaluate(model: PacnModel, dataset, batch_size: int = 64,
                       per_device_accuracy=per_device,
                       per_class_accuracy=per_class,
                       confusion=confusion,
+                      predictions=preds,
                       unseen_devices=tuple(unseen_devices),
                       n_clips=n)
 

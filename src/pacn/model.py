@@ -12,16 +12,17 @@ logits).
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, JsonConfig, check_field_types
 from .seeding import PURPOSE_INIT, derive_rng
-from .tensor import Tensor, concat, relu, reshape, tmean, transpose
+from .tensor import (Tensor, concat, no_grad, relu, reshape, tmean,
+                     transpose)
 
 CHECKPOINT_MAGIC = b"PACNCKPT"
 CHECKPOINT_VERSION = 1
@@ -36,7 +37,7 @@ def _positive_ints(values) -> bool:
 
 
 @dataclass
-class PacnConfig:
+class PacnConfig(JsonConfig):
     pre_channels: list = field(default_factory=lambda: [3, 16])
     pre_pools: list = field(default_factory=lambda: [[4, 2], [4, 2]])
     lci_channels: list = field(default_factory=lambda: [16, 16])
@@ -50,15 +51,14 @@ class PacnConfig:
     in_channels: int = 2
 
     def validate(self):
+        check_field_types(self)
         for name in ("pre_channels", "lci_channels"):
             widths = getattr(self, name)
-            if not isinstance(widths, (list, tuple)) or not widths \
-                    or not _positive_ints(widths):
+            if not widths or not _positive_ints(widths):
                 raise ConfigError(f"{name} must be a non-empty list of "
                                   "positive integers")
-        if not isinstance(self.pre_pools, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and _positive_ints(p) for p in self.pre_pools):
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2
+                   and _positive_ints(p) for p in self.pre_pools):
             raise ConfigError("pre_pools must be a list of [freq, time] "
                               "pairs of positive integers")
         if len(self.pre_pools) != len(self.pre_channels):
@@ -66,7 +66,7 @@ class PacnConfig:
                               f"{len(self.pre_pools)} pool windows")
         for name in ("gci_embed_dim", "gci_heads", "gci_mlp_hidden",
                      "shuffle_groups", "num_classes", "in_channels"):
-            if not _positive_ints([getattr(self, name)]):
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.gci_embed_dim % self.gci_heads != 0:
             raise ConfigError(f"embed dim {self.gci_embed_dim} not divisible "
@@ -75,35 +75,10 @@ class PacnConfig:
         if fused % self.shuffle_groups != 0:
             raise ConfigError(f"fused width {fused} not divisible by "
                               f"{self.shuffle_groups} shuffle groups")
-        if not isinstance(self.arn_enabled, bool):
-            raise ConfigError("arn_enabled must be true or false, got "
-                              f"{type(self.arn_enabled).__name__}")
         if self.wiring_mode not in WIRING_MODES:
             raise ConfigError(f"unknown wiring mode {self.wiring_mode!r}; "
                               f"expected one of {WIRING_MODES}")
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PacnConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw).validate()
-
-    @classmethod
-    def from_file(cls, path) -> "PacnConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 def features_to_input(batch: np.ndarray) -> Tensor:
@@ -292,15 +267,17 @@ class PacnModel:
         return self._fc(fused, "head.fc")
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        h = self.preprocess_forward(x, training)
-        if self.config.wiring_mode == "serial":
-            tokens, gci_vec = self.gci_forward(h)
-            m = self._reinject(tokens, h.data.shape[2])
-            lci_vec = self.lci_forward(m, training)
-        else:
-            _, gci_vec = self.gci_forward(h)
-            lci_vec = self.lci_forward(h, training)
-        return self.fuse_forward(gci_vec, lci_vec)
+        """Logits for an input batch; inference mode records no graph."""
+        with nullcontext() if training else no_grad():
+            h = self.preprocess_forward(x, training)
+            if self.config.wiring_mode == "serial":
+                tokens, gci_vec = self.gci_forward(h)
+                m = self._reinject(tokens, h.data.shape[2])
+                lci_vec = self.lci_forward(m, training)
+            else:
+                _, gci_vec = self.gci_forward(h)
+                lci_vec = self.lci_forward(h, training)
+            return self.fuse_forward(gci_vec, lci_vec)
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         return self.forward(x, training)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PacnConfig, PacnModel
-from .tensor import Tensor, count_multiplies, no_grad
+from .tensor import Tensor, count_multiplies
 
 KERNEL_KINDS = ("conv", "fc", "attention")
 
@@ -157,6 +157,6 @@ def verify_against_runtime(config: PacnConfig, in_shape=(256, 65),
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(
         (1, config.in_channels) + tuple(in_shape)).astype(np.float32))
-    with no_grad(), count_multiplies() as tally:
+    with count_multiplies() as tally:
         model.forward(x, training=False)
     return RuntimeCheck(runtime_macs=tally[0], kernel_macs=report.kernel_macs)

@@ -8,15 +8,13 @@ full training/evaluation pipeline can run self-contained.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import CLIP_SAMPLES, SAMPLE_RATE, write_wav
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, JsonConfig, check_field_types
 from .manifest import SCENE_LABELS, ManifestRow, write_manifest
 from .seeding import PURPOSE_SYNTH, derive_rng
 
@@ -30,7 +28,7 @@ CITIES = (
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(JsonConfig):
     classes: int = 4
     clips_per_class: int = 100
     devices: int = 3
@@ -53,28 +51,6 @@ class SynthSpec:
         if self.tone_level < 0 or self.noise_level < 0:
             raise ConfigError("levels must be non-negative")
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthSpec":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("synth spec must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown fields: {sorted(unknown)}")
-        return cls(**raw).validate()
-
-    @classmethod
-    def from_file(cls, path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 def class_recipe(class_idx: int) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -26,12 +27,13 @@ from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
                     stft_magnitude)
 from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
                       apply_mixup, augment_clip, draw_mixup, estimate_correction)
-from .errors import ConfigError, TrainingError, UsageError, check_field_types
+from .errors import (ConfigError, JsonConfig, TrainingError,
+                     UsageError, check_field_types)
 from .manifest import parse_manifest
 from .model import PacnConfig, PacnModel, features_to_input
 from .seeding import (PURPOSE_AUGMENT, PURPOSE_MIXUP, PURPOSE_SHUFFLE,
                       derive_rng)
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +45,7 @@ METRICS_COLUMNS = ("epoch", "lr", "train_loss", "hard_loss", "distill_loss",
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     epochs: int = 100
     batch_size: int = 16
     peak_lr: float = 0.002
@@ -81,39 +83,6 @@ class TrainConfig:
     def effective_augment(self) -> AugmentConfig:
         """Augmentation knobs with this config's mixup alpha folded in."""
         return dataclasses.replace(self.augment, mixup_alpha=self.mixup_alpha)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("train config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown fields: {sorted(unknown)}")
-        aug = raw.pop("augment", None)
-        if aug is not None:
-            if not isinstance(aug, dict):
-                raise ConfigError("augment must be a JSON object")
-            aug_known = {f.name for f in dataclasses.fields(AugmentConfig)}
-            aug_unknown = set(aug) - aug_known
-            if aug_unknown:
-                raise ConfigError(f"unknown augment fields: {sorted(aug_unknown)}")
-            if isinstance(aug.get("pitch_factors"), list):
-                aug["pitch_factors"] = tuple(aug["pitch_factors"])
-            raw["augment"] = AugmentConfig(**aug)
-        return cls(**raw).validate()
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 # -- distillation loss ---------------------------------------------------------
@@ -244,16 +213,19 @@ class Dataset:
                        correction=self.correction)
 
 
+def _clip_feature(clip: AudioClip,
+                  correction: SpectrumCorrection | None) -> np.ndarray:
+    """One clip's feature, device-corrected unless it is an audio mix."""
+    coeffs = None
+    if correction is not None and clip.device_id != MIX_DEVICE_ID:
+        coeffs = correction.coeff_for(clip.device_id)
+    return extract_feature(clip, coeffs).feature
+
+
 def extract_features(clips, correction: SpectrumCorrection | None = None,
                      threads: int = 1) -> np.ndarray:
     """Stack clean per-clip features, optionally device-corrected."""
-
-    def one(clip: AudioClip) -> np.ndarray:
-        coeffs = None
-        if correction is not None and clip.device_id != MIX_DEVICE_ID:
-            coeffs = correction.coeff_for(clip.device_id)
-        return extract_feature(clip, coeffs).feature
-
+    one = functools.partial(_clip_feature, correction=correction)
     if threads > 1 and len(clips) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             feats = list(pool.map(one, clips))
@@ -356,13 +328,8 @@ def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
         rng = derive_rng(cfg.seed, PURPOSE_AUGMENT, epoch, ds.names[i])
         out = augment_clip(clip, pools[int(ds.labels[i])], rng, aug)
         waves.append(out)
-        if out is clip:
-            feats.append(ds.features[i])
-        else:
-            coeffs = None
-            if correction is not None and out.device_id != MIX_DEVICE_ID:
-                coeffs = correction.coeff_for(out.device_id)
-            feats.append(extract_feature(out, coeffs).feature)
+        feats.append(ds.features[i] if out is clip
+                     else _clip_feature(out, correction))
     return np.stack(feats), waves
 
 
@@ -433,8 +400,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
             teacher_logits = None
             if lam < 1.0:
                 # the teacher reads the student's input; nothing mutates it
-                with no_grad():
-                    teacher_logits = teacher(x, training=False).data
+                teacher_logits = teacher(x, training=False).data
             parts = kd_loss(logits, y, teacher_logits, lam,
                             cfg.kd_temperature, cfg.kd_t2_scale)
             total_val = float(parts.total.data)
@@ -496,16 +462,15 @@ def mean_teacher_kl(teacher: PacnModel, student: PacnModel,
     n = len(features)
     if n == 0:
         raise UsageError("empty feature set")
-    with no_grad():
-        for start in range(0, n, batch_size):
-            x = features_to_input(features[start:start + batch_size])
-            zt = teacher(x, training=False).data.astype(np.float64)
-            zs = student(x, training=False).data.astype(np.float64)
-            pt = _softmax_np(zt)
-            log_pt = np.log(np.maximum(pt, 1e-300))
-            log_ps = zs - zs.max(-1, keepdims=True)
-            log_ps = log_ps - np.log(np.exp(log_ps).sum(-1, keepdims=True))
-            total += float((pt * (log_pt - log_ps)).sum())
+    for start in range(0, n, batch_size):
+        x = features_to_input(features[start:start + batch_size])
+        zt = teacher(x, training=False).data.astype(np.float64)
+        zs = student(x, training=False).data.astype(np.float64)
+        pt = _softmax_np(zt)
+        log_pt = np.log(np.maximum(pt, 1e-300))
+        log_ps = zs - zs.max(-1, keepdims=True)
+        log_ps = log_ps - np.log(np.exp(log_ps).sum(-1, keepdims=True))
+        total += float((pt * (log_pt - log_ps)).sum())
     return total / n
 
 

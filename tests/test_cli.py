@@ -5,8 +5,10 @@ import logging
 import pytest
 
 import pacn.cli
+import pacn.model
 import pacn.train
 from pacn.cli import main
+from pacn.manifest import parse_manifest
 
 TINY_MODEL = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
                   gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4,
@@ -160,6 +162,23 @@ class TestEval:
                    "--manifest", work / "data" / "manifest.tsv") == 0
         assert len(calls) == 12 and len(set(calls)) == 12
 
+    def test_subset_scores_run_each_clip_once(self, work, tmp_path,
+                                              monkeypatch):
+        clips = []
+        forward = pacn.model.PacnModel.forward
+
+        def counted(model, x, training=False):
+            clips.append(x.shape[0])
+            return forward(model, x, training)
+
+        monkeypatch.setattr(pacn.model.PacnModel, "forward", counted)
+        manifest = work / "data" / "manifest.tsv"
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", manifest,
+                   "--subset-scores", tmp_path / "s.csv", "--subsets", "6",
+                   "--fraction", "0.5") == 0
+        assert sum(clips) == len(parse_manifest(manifest))
+
     def test_truncated_checkpoint_fails_cleanly(self, work, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes((work / "teacher.ckpt").read_bytes()[:14])
@@ -310,6 +329,22 @@ class TestArgHandling:
         assert run("profile", "--config", bad) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("profile", "--config"),
+                                               ("synth-data", "--spec"),
+                                               ("train-teacher", "--config")])
+    def test_non_utf8_config_fails_cleanly(self, work, tmp_path, capsys,
+                                           command, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "wiring_mode": "\xff"}')
+        extra = {"profile": [],
+                 "synth-data": ["--out", tmp_path / "out"],
+                 "train-teacher": ["--manifest", work / "data" / "manifest.tsv",
+                                   "--out", tmp_path / "t.ckpt"]}[command]
+        assert run("--quiet", command, flag, bad, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(bad) in err and "UTF-8" in err
 
     def test_non_utf8_manifest_fails_cleanly(self, work, tmp_path, capsys):
         raw = (work / "data" / "manifest.tsv").read_bytes()

@@ -201,6 +201,14 @@ class TestWiringModes:
         b = PacnModel(PacnConfig(), seed=5).forward(x).data.tobytes()
         assert a == b
 
+    def test_inference_records_no_graph(self):
+        model = PacnModel(PacnConfig(**TINY), seed=0)
+        x = rand_input(np.random.default_rng(14))
+        logits = model(x)
+        assert logits._backward is None and logits._parents == ()
+        logits = model(x, training=True)
+        assert logits._backward is not None and logits._parents
+
 
 class TestGradientCoverage:
     @pytest.mark.parametrize("mode", ["parallel", "serial", "no_fusion"])
