@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.io.wavfile
 import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestionError, UsageError
 
@@ -111,8 +112,7 @@ def frame_and_window(clip) -> np.ndarray:
     pad_total = HOP_LENGTH * (N_FRAMES - 1) + WIN_LENGTH - CLIP_SAMPLES
     lo = pad_total // 2
     x = np.pad(samples.astype(np.float64), (lo, pad_total - lo))
-    idx = np.arange(N_FRAMES)[:, None] * HOP_LENGTH + np.arange(WIN_LENGTH)[None, :]
-    return x[idx] * hamming_window()
+    return sliding_window_view(x, WIN_LENGTH)[::HOP_LENGTH] * hamming_window()
 
 
 def stft_magnitude(frames: np.ndarray) -> np.ndarray:

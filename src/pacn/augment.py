@@ -7,7 +7,6 @@ spectra per frequency bin before Mel filtering.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ MIX_DEVICE_ID = "mix"
 @dataclass
 class AugmentConfig:
     mixup_prob: float = 0.5
-    mixup_alpha: float = 0.4
     mixup_domain: str = "feature"           # "feature" or "waveform"
     pitch_prob: float = 0.3
     pitch_factors: tuple = PITCH_FACTORS
@@ -97,29 +95,6 @@ class SpectrumCorrection:
             log.warning("no spectrum correction for device %r; passing through",
                         device_id)
         return c
-
-    def apply(self, spec: np.ndarray, device_id: str) -> np.ndarray:
-        """Multiply a (frames, 2049) magnitude spectrum per bin."""
-        c = self.coeff_for(device_id)
-        if c is None:
-            return spec
-        return spec * c[None, :]
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for dev in sorted(self.coeffs):
-                writer.writerow([dev] + [repr(float(v)) for v in self.coeffs[dev]])
-
-    @classmethod
-    def load_csv(cls, path) -> "SpectrumCorrection":
-        coeffs = {}
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                coeffs[row[0]] = np.array([float(v) for v in row[1:]])
-        return cls(coeffs)
 
 
 def estimate_correction(spectra_by_device: dict[str, np.ndarray]) -> SpectrumCorrection:

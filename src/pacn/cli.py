@@ -113,13 +113,14 @@ def cmd_eval(args) -> int:
             raise UsageError(f"device {args.held_out_device!r} does not appear "
                              "in the manifest")
         unseen = (args.held_out_device,)
+    if args.subset_scores:
+        seed = args.seed if args.seed is not None else 0
+        subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
     result = evaluate(model, ds, unseen_devices=unseen)
     print(format_eval_text(result))
     if args.report:
         write_eval_csv(args.report, result)
     if args.subset_scores:
-        seed = args.seed if args.seed is not None else 0
-        subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
         row = subset_accuracy_row(result.predictions == ds.labels, subsets)
         with open(args.subset_scores, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -188,6 +189,8 @@ def cmd_significance(args) -> int:
 
 
 def cmd_augment_preview(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be positive, got {args.count}")
     rows = parse_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(args.out, exist_ok=True)

@@ -168,6 +168,8 @@ def draw_subsets(n_items: int, n_subsets: int = 20, fraction: float = 0.05,
     """Seeded evaluation subsets, each sampled without replacement."""
     if n_items < 1:
         raise UsageError("nothing to subsample")
+    if n_subsets < 1:
+        raise UsageError(f"number of subsets must be positive, got {n_subsets}")
     if not 0.0 < fraction <= 1.0:
         raise UsageError(f"fraction must lie in (0, 1], got {fraction}")
     size = max(1, int(round(fraction * n_items)))

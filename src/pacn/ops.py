@@ -18,8 +18,6 @@ from .tensor import (
     _tally_macs,
     _unbroadcast,
     concat,
-    exp,
-    log,
     matmul,
     mul,
     relu,
@@ -334,7 +332,8 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_stats,
 
     ``running_stats`` is a dict with mutable "mean"/"var" arrays, updated in
     place during training and used verbatim at inference, where the layer is
-    the affine map ``x * scale + shift``.
+    the affine map ``x * scale + shift`` and records no graph: gradients
+    never flow through inference batch norm.
     """
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -354,14 +353,7 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_stats,
     shift = beta.data - rm * scale
     out_data = x.data * scale.reshape(1, c, 1, 1)
     out_data += shift.reshape(1, c, 1, 1)
-
-    def bw(g):
-        _accum(x, g * scale.reshape(1, c, 1, 1))
-        xc = x.data - rm.reshape(1, c, 1, 1)
-        _accum(gamma, (g * xc).sum(axis=(0, 2, 3)) * inv)
-        _accum(beta, g.sum(axis=(0, 2, 3)))
-
-    return _make(out_data, (x, gamma, beta), bw)
+    return Tensor(out_data)
 
 
 def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -404,11 +396,8 @@ def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                 heads: int, bq=None, bk=None, bv=None, bo=None) -> Tensor:
     """Scaled dot-product self-attention over the token axis.
 
-    x: (tokens, d) or (n, tokens, d); projection weights are (d, d).
+    x: (n, tokens, d); projection weights are (d, d).
     """
-    squeeze = x.data.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.data.shape)
     n, L, d = x.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
@@ -424,10 +413,7 @@ def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     att = softmax(att, axis=-1)
     ctx = matmul(att, v)                                    # (n, h, L, dh)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (n, L, d))
-    out = fc_forward(merged, wo, bo)
-    if squeeze:
-        out = reshape(out, (L, d))
-    return out
+    return fc_forward(merged, wo, bo)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -452,8 +438,8 @@ __all__ = [
     "EPS", "arn_forward", "batch_norm_forward",
     "bsconv_forward", "channel_shuffle", "concat", "cross_entropy",
     "depthwise_conv2d", "fc_forward", "fin_forward", "global_avg_pool",
-    "grn_forward", "kl_from_teacher", "layer_norm_forward", "log",
+    "grn_forward", "kl_from_teacher", "layer_norm_forward",
     "log_softmax", "matmul", "maxpool2d", "mha_forward", "mul", "normalize",
     "pointwise_conv2d", "relu", "reshape", "softmax", "sqrt", "tmean",
-    "transpose", "tsum", "exp",
+    "transpose", "tsum",
 ]

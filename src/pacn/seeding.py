@@ -15,7 +15,6 @@ import numpy as np
 PURPOSE_INIT = 0
 PURPOSE_SHUFFLE = 1
 PURPOSE_MIXUP = 2
-PURPOSE_PITCH = 3
 PURPOSE_SYNTH = 5
 PURPOSE_SUBSET = 6
 PURPOSE_AUGMENT = 7

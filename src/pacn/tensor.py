@@ -137,7 +137,7 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -145,7 +145,7 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t._parents):
+    if not t.requires_grad:
         return
     if t.grad is None:
         # one pass, and the out= array keeps a 0-d grad an ndarray
@@ -184,7 +184,7 @@ def backward(loss: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited and (p.requires_grad or p._parents):
+            if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
@@ -244,22 +244,6 @@ def neg(a: Tensor) -> Tensor:
         _accum(a, -g)
 
     return _make(-a.data, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:

@@ -80,10 +80,6 @@ class TrainConfig(JsonConfig):
                               "of positive numbers")
         return self
 
-    def effective_augment(self) -> AugmentConfig:
-        """Augmentation knobs with this config's mixup alpha folded in."""
-        return dataclasses.replace(self.augment, mixup_alpha=self.mixup_alpha)
-
 
 # -- distillation loss ---------------------------------------------------------
 
@@ -318,15 +314,14 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
-                 aug: AugmentConfig, correction: SpectrumCorrection | None,
-                 pools: dict[int, list]):
+                 correction: SpectrumCorrection | None, pools: dict[int, list]):
     """Per-clip waveform augmentation; cached features reused when untouched."""
     feats = []
     waves = []
     for i in idx:
         clip = ds.clips[i]
         rng = derive_rng(cfg.seed, PURPOSE_AUGMENT, epoch, ds.names[i])
-        out = augment_clip(clip, pools[int(ds.labels[i])], rng, aug)
+        out = augment_clip(clip, pools[int(ds.labels[i])], rng, cfg.augment)
         waves.append(out)
         feats.append(ds.features[i] if out is clip
                      else _clip_feature(out, correction))
@@ -363,7 +358,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
                           f"the model predicts {num_classes} classes")
     model = PacnModel(model_cfg, seed=cfg.seed)
     opt = Adam(model.params)
-    aug = cfg.effective_augment()
+    aug = cfg.augment
     n = len(train_ds)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -382,13 +377,12 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
         lr = 0.0
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            x_np, waves = _batch_clips(train_ds, idx, epoch, cfg, aug,
-                                       correction, pools)
+            x_np, waves = _batch_clips(train_ds, idx, epoch, cfg, correction, pools)
             y = _one_hot(train_ds.labels[idx], num_classes)
 
             mrng = derive_rng(cfg.seed, PURPOSE_MIXUP, epoch, b_idx)
             if aug.mixup_prob > 0 and mrng.random() < aug.mixup_prob:
-                mb = draw_mixup(len(idx), mrng, aug.mixup_alpha)
+                mb = draw_mixup(len(idx), mrng, cfg.mixup_alpha)
                 if aug.mixup_domain == "waveform":
                     x_np = _mix_waveforms(waves, mb)
                     y = (mb.eta * y + (1.0 - mb.eta) * y[mb.pair_index])

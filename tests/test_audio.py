@@ -92,6 +92,17 @@ class TestFraming:
         with pytest.raises(UsageError):
             audio.frame_and_window(np.zeros(1000, dtype=np.float32))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_index_gather_oracle_bitwise(self, seed):
+        samples = np.random.default_rng(seed).uniform(-1, 1, 44100).astype(np.float32)
+        pad = audio.HOP_LENGTH * (audio.N_FRAMES - 1) + audio.WIN_LENGTH - 44100
+        x = np.pad(samples.astype(np.float64), (pad // 2, pad - pad // 2))
+        idx = (np.arange(audio.N_FRAMES)[:, None] * audio.HOP_LENGTH
+               + np.arange(audio.WIN_LENGTH)[None, :])
+        want = x[idx] * np.hamming(audio.WIN_LENGTH)
+        got = audio.frame_and_window(samples)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestSpectra:
     def test_zero_frame_zero_spectrum(self):

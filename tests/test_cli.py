@@ -363,3 +363,22 @@ class TestArgHandling:
         assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
                    "--manifest", bad) == 1
         assert ":2" in capsys.readouterr().err
+
+    def test_non_positive_preview_count_fails_cleanly(self, work, tmp_path,
+                                                      capsys):
+        assert run("--quiet", "augment-preview",
+                   "--manifest", work / "data" / "manifest.tsv",
+                   "--out", tmp_path / "p", "--count", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
+    def test_non_positive_subsets_fails_cleanly(self, work, tmp_path, capsys):
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", work / "data" / "manifest.tsv",
+                   "--report", tmp_path / "e.csv",
+                   "--subset-scores", tmp_path / "s.csv", "--subsets", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "e.csv").exists()
+        assert not (tmp_path / "s.csv").exists()

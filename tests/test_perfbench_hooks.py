@@ -1,0 +1,62 @@
+"""The benchmark's tracer still fits the pacn names it wraps.
+
+``perfbench/tracer.py`` patches public pacn functions by name and maps each
+parameter to its ``pacn profile`` row, so a renamed or deleted name would
+otherwise surface only when a traced benchmark run fails.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pacn.audio
+import pacn.evalstats
+import pacn.model
+import pacn.ops
+import pacn.tensor
+import pacn.train
+from pacn.model import PacnModel, features_to_input
+from pacn.profiler import profile
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracer  # noqa: E402
+from workloads import packaged_config  # noqa: E402
+
+PATCHED = (pacn.audio, pacn.evalstats, pacn.model, pacn.ops, pacn.tensor,
+           pacn.train, pacn.model.PacnModel, pacn.train.Adam)
+
+
+@pytest.mark.parametrize("name", ["student", "teacher"])
+def test_param_rows_cover_every_parameter(name):
+    cfg = packaged_config(name)
+    model = PacnModel(cfg, seed=0)
+    rows = profile(cfg).rows
+    mapped = tracer.param_rows(model, rows)
+    assert set(mapped) == {id(t) for t in model.params.values()}
+    assert set(mapped.values()) <= {r.name for r in rows}
+
+
+def test_student_rows_timed_and_patches_undone():
+    cfg = packaged_config("student")
+    rows = profile(cfg).rows
+    assert len(rows) == 28
+    model = PacnModel(cfg, seed=0)
+    feats = np.random.default_rng(0).standard_normal((2, 256, 65, 2))
+    x = features_to_input(feats.astype(np.float32))
+    targets = np.eye(cfg.num_classes, dtype=np.float32)[[0, 1]]
+    before = [dict(vars(owner)) for owner in PATCHED]
+
+    trace = tracer.Tracer(rows)
+    with trace:
+        for owner, attrs in zip(PATCHED, before):
+            assert any(vars(owner)[k] is not v for k, v in attrs.items()), owner
+        pacn.ops.cross_entropy(model(x, training=True), targets).backward()
+        model(x, training=False)
+
+    names = {r.name for r in rows}
+    assert {k for k, v in trace.row_fwd.items() if v > 0} == names
+    assert {k for k, v in trace.row_bwd.items() if v > 0} == names
+    for owner, attrs in zip(PATCHED, before):
+        assert all(vars(owner)[k] is v for k, v in attrs.items()), owner

@@ -10,8 +10,6 @@ from pacn.tensor import (
     backward,
     concat,
     count_multiplies,
-    exp,
-    log,
     matmul,
     no_grad,
     relu,
@@ -101,10 +99,10 @@ class TestElementaryGradients:
             return [a], lambda: (2.0 / a + 3.0 * a - 1.0).sum()
         assert_grads_ok(build)
 
-    def test_exp_log_sqrt(self):
+    def test_sqrt(self):
         def build(rng):
             a = leaf(rng, (3, 3), lo=0.5, hi=2.0)
-            return [a], lambda: (exp(a) + log(a) * sqrt(a)).sum()
+            return [a], lambda: (a * sqrt(a) + sqrt(a)).sum()
         assert_grads_ok(build)
 
     def test_relu(self):
@@ -187,7 +185,7 @@ class TestMultiplyTally:
     def test_elementwise_ops_count_nothing(self):
         a = Tensor(np.ones((16, 16), dtype=np.float32))
         with count_multiplies() as tally:
-            _ = exp(a) * a + sqrt(a) / 2.0
+            _ = relu(a) * a + sqrt(a) / 2.0
         assert tally[0] == 0
 
     def test_tally_scoped_to_context(self):

@@ -118,9 +118,9 @@ class TestTrainConfig:
             return
         assert cfg.validate() is cfg
 
-    def test_effective_augment_folds_alpha(self):
-        cfg = TrainConfig(mixup_alpha=0.7)
-        assert cfg.effective_augment().mixup_alpha == 0.7
+    def test_mixup_alpha_is_top_level_only(self):
+        with pytest.raises(ConfigError, match="mixup_alpha"):
+            TrainConfig.from_json('{"augment": {"mixup_alpha": 0.2}}')
 
 
 class TestKdLoss:
