@@ -76,6 +76,7 @@ class SpectrumCorrection:
     """Per-device frequency-response correction coefficients (2049 bins)."""
 
     def __init__(self, coeffs: dict[str, np.ndarray]):
+        self.coeffs: dict[str, np.ndarray] = {}
         for dev, c in coeffs.items():
             c = np.asarray(c, dtype=np.float64)
             if c.shape != (N_BINS,):
@@ -84,8 +85,7 @@ class SpectrumCorrection:
             if not (np.isfinite(c).all() and (c > 0).all()):
                 raise UsageError(f"device {dev}: coefficients must be positive "
                                  "and finite")
-            coeffs[dev] = c
-        self.coeffs = coeffs
+            self.coeffs[dev] = c
         self._warned: set[str] = set()
 
     def coeff_for(self, device_id: str) -> np.ndarray | None:

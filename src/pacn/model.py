@@ -1,13 +1,13 @@
 """The parallel attention-convolution network.
 
 Architecture: a pre-processing stack of BSConv stages feeds two branches.
-The local branch (LCI) is convolutional with a global-response-normalized
-output vector; the global branch (GCI) tokenizes the map along time and runs
-one pre-norm attention block. A fusion head concatenates both vectors,
-shuffles channels, and maps to class logits. Three wiring modes: parallel
-(both branches on the pre-processed map), serial (LCI consumes the GCI
-tokens re-injected as a map), and no_fusion (independent heads, averaged
-logits).
+The local branch (LCI) is convolutional: global response normalization of
+its map, then global average pooling; the global branch (GCI) tokenizes the
+map along time and runs one pre-norm attention block. A fusion head
+concatenates both vectors, shuffles channels, and maps to class logits.
+Three wiring modes: parallel (both branches on the pre-processed map),
+serial (LCI consumes the GCI tokens re-injected as a map), and no_fusion
+(independent heads, averaged logits).
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ class PacnModel:
             if cfg.arn_enabled and i == 0:
                 x = self._arn(x, "pre.first_conv_arn")
             x = self._bn(x, f"pre.{i}.bn", training)
-            x = relu(x)
-            x = ops.maxpool2d(x, tuple(pool))
+            # max-pool commutes with relu; pooling first leaves relu a
+            # smaller map
+            x = relu(ops.maxpool2d(x, tuple(pool)))
             if cfg.arn_enabled:
                 x = self._arn(x, f"pre.{i}.arn")
         return x

@@ -74,7 +74,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
     of several channels), which keeps every temporary small; the stride-1
     result is then cropped and subsampled. Every output and input-gradient
     element adds its taps in (i, j) order starting from +0.0, as a
-    full-size tap-by-tap sum would.
+    full-size tap-by-tap sum would. A tap's weight gradient is a row dot of
+    its slice with the gradient scattered onto the stride-1 grid.
     """
     n, c, f, t = x.data.shape
     cw, kf, kt = w.data.shape
@@ -127,8 +128,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
         g_cm = g.transpose(1, 0, 2, 3)
         dx = np.empty_like(x.data)
         dx_cm = dx.transpose(1, 0, 2, 3)
+        dw = np.zeros_like(w.data)
+        dw_taps = dw.reshape(c, kf * kt)
         for c0, c1, s0, s1 in blocks:
-            cb, m = c1 - c0, s1 - s0
+            cb, m, base = c1 - c0, s1 - s0, s0 * plane
             size = (m - 1) * plane + span
             gs_taps[:cb, :m] = g_cm[c0:c1, s0:s1]
             gsb, gpb, p = gs[:cb, :size], gp[:cb], gtmp[:cb, :size]
@@ -136,15 +139,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
             for k, o in enumerate(offsets):
                 np.multiply(gsb, wcols[c0:c1, k], out=p)
                 np.add(gpb[:, o:o + size], p, out=gpb[:, o:o + size])
+                dw_taps[c0:c1, k] += np.einsum(
+                    "ij,ij->i", gsb, xflat[c0:c1, base + o:base + o + size])
             dx_cm[c0:c1, s0:s1] = gpb[:, :m * plane].reshape(
                 cb, m, fp, tp)[:, :, pf0:pf0 + f, pt0:pt0 + t]
-        xp = np.ascontiguousarray(xpc.transpose(1, 0, 2, 3))
-        dw = np.empty_like(w.data)
-        for i in range(kf):
-            fe = i + (of - 1) * sf + 1
-            for j in range(kt):
-                te = j + (ot - 1) * st + 1
-                dw[:, i, j] = np.einsum("ncft,ncft->c", g, xp[:, :, i:fe:sf, j:te:st])
         _accum(x, dx)
         _accum(w, dw)
         if b is not None:

@@ -74,10 +74,22 @@ class TrainConfig(JsonConfig):
             raise ConfigError("kd_temperature must be positive")
         if self.mixup_alpha <= 0:
             raise ConfigError("mixup_alpha must be positive")
-        factors = self.augment.pitch_factors
+        aug = self.augment
+        factors = aug.pitch_factors
         if not factors or min(factors) <= 0:
             raise ConfigError("augment pitch_factors must be a non-empty list "
                               "of positive numbers")
+        if aug.mixup_domain not in ("feature", "waveform"):
+            raise ConfigError("augment mixup_domain must be 'feature' or "
+                              f"'waveform', got {aug.mixup_domain!r}")
+        for name in ("mixup_prob", "pitch_prob", "audio_mix_prob"):
+            value = getattr(aug, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"augment {name} must lie in [0, 1], got {value}")
+        if not 0.0 <= aug.audio_mix_low <= aug.audio_mix_high <= 1.0:
+            raise ConfigError("augment needs 0 <= audio_mix_low <= "
+                              f"audio_mix_high <= 1, got {aug.audio_mix_low} "
+                              f"and {aug.audio_mix_high}")
         return self
 
 

@@ -50,6 +50,13 @@ class TestMixup:
 
 
 class TestSpectrumCorrection:
+    def test_caller_dict_is_left_alone(self):
+        coeffs = [1.0] * 2049
+        d = {"a": coeffs}
+        sc = augment.SpectrumCorrection(d)
+        assert d == {"a": coeffs} and d["a"] is coeffs
+        assert sc.coeffs["a"].dtype == np.float64
+
     def test_single_device_gets_unit_coefficients(self):
         sc = augment.estimate_correction({"a": np.full((1, 2049), 2.0)})
         np.testing.assert_allclose(sc.coeffs["a"], 1.0, rtol=1e-6)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pacn import ops
 from pacn.errors import ConfigError, IngestionError, PacnError
 from pacn.model import PacnConfig, PacnModel, features_to_input
-from pacn.tensor import Tensor, backward, no_grad
+from pacn.tensor import Tensor, backward, no_grad, relu
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -91,6 +91,46 @@ class TestPreprocess:
         model = PacnModel(PacnConfig(), seed=0)
         with pytest.raises(ConfigError):
             model.preprocess_forward(rand_input(np.random.default_rng(5), channels=3))
+
+
+def relu_first_preprocess(model, x, training):
+    """``preprocess_forward`` with ReLU before max-pool, the former order."""
+    cfg = model.config
+    for i, pool in enumerate(cfg.pre_pools):
+        x = model._bsconv(x, f"pre.{i}")
+        if cfg.arn_enabled and i == 0:
+            x = model._arn(x, "pre.first_conv_arn")
+        x = model._bn(x, f"pre.{i}.bn", training)
+        x = ops.maxpool2d(relu(x), tuple(pool))
+        if cfg.arn_enabled:
+            x = model._arn(x, f"pre.{i}.arn")
+    return x
+
+
+@pytest.mark.parametrize("name", ["student", "teacher"])
+def test_pool_then_relu_matches_relu_then_pool_bitwise(name, monkeypatch):
+    import importlib.resources as res
+    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
+    cfg = PacnConfig.from_json(text)
+    rng = np.random.default_rng(21)
+    x = rand_input(rng, n=4)
+    y = np.eye(cfg.num_classes)[rng.integers(0, cfg.num_classes, size=4)]
+
+    def run(model):
+        model.zero_grad()
+        logits = model(x, training=True)
+        backward(ops.cross_entropy(logits, y))
+        grads = {k: t.grad.tobytes() for k, t in model.params.items()}
+        state = {k: (v["mean"].tobytes(), v["var"].tobytes())
+                 for k, v in model.state.items()}
+        return logits.data.tobytes(), grads, state, model(x).data.tobytes()
+
+    got = run(PacnModel(cfg, seed=4))
+    model = PacnModel(cfg, seed=4)
+    monkeypatch.setattr(model, "preprocess_forward",
+                        lambda x, training=False:
+                        relu_first_preprocess(model, x, training))
+    assert got == run(model)
 
 
 class TestBranches:

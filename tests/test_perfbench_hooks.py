@@ -1,10 +1,14 @@
-"""The benchmark's tracer still fits the pacn names it wraps.
+"""The benchmark still runs against pacn as it stands.
 
 ``perfbench/tracer.py`` patches public pacn functions by name and maps each
 parameter to its ``pacn profile`` row, so a renamed or deleted name would
-otherwise surface only when a traced benchmark run fails.
+otherwise surface only when a traced benchmark run fails. Short untraced runs
+of every workload pass the benchmark's own correctness checks.
 """
 
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +24,8 @@ import pacn.train
 from pacn.model import PacnModel, features_to_input
 from pacn.profiler import profile
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import tracer  # noqa: E402
 from workloads import packaged_config  # noqa: E402
 
@@ -60,3 +65,24 @@ def test_student_rows_timed_and_patches_undone():
     assert {k for k, v in trace.row_bwd.items() if v > 0} == names
     for owner, attrs in zip(PATCHED, before):
         assert all(vars(owner)[k] is v for k, v in attrs.items()), owner
+
+
+@pytest.mark.parametrize("workload, seconds", [
+    ("infer-b1", 1), ("kd-student", 3), ("teacher-ce", 3)])
+def test_workload_passes_its_checks(workload, seconds, tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=lambda d, names: ["out", "__pycache__"]
+                    if Path(d) == ROOT / "perfbench" else [])
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    if workload != "infer-b1":
+        record = json.loads(
+            (tmp_path / "perfbench" / "out" / f"{workload}-s1-t0.json").read_text())
+        assert record["train_calls"] >= 2

@@ -93,6 +93,13 @@ class TestTrainConfig:
         {"kd_lambda": 1.5}, {"kd_lambda": -0.1}, {"kd_temperature": 0.0},
         {"warmup_epochs": 200}, {"epochs": 0}, {"peak_lr": 0.0},
         {"mixup_alpha": 0.0},
+        {"augment": AugmentConfig(mixup_domain="wave")},
+        {"augment": AugmentConfig(mixup_prob=2.5)},
+        {"augment": AugmentConfig(pitch_prob=-1.0)},
+        {"augment": AugmentConfig(audio_mix_prob=1.5)},
+        {"augment": AugmentConfig(audio_mix_low=0.9, audio_mix_high=0.1)},
+        {"augment": AugmentConfig(audio_mix_low=-0.1)},
+        {"augment": AugmentConfig(audio_mix_high=1.2)},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
