@@ -308,6 +308,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(message)s")
     logging.getLogger().setLevel(level)
     try:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be positive, got {args.threads}")
         return args.func(args)
     except PacnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -259,10 +259,11 @@ def normalize(x: Tensor, axes, gamma: Tensor | None = None,
     ``xhat`` is ``x`` standardized over ``axes`` with the biased variance and
     ``EPS``; without ``rho`` the blend is skipped, and without ``gamma`` /
     ``beta`` the affine is. ``gamma`` and ``beta`` must broadcast against
-    ``x``. Returns ``(out, mean, var)``: the batch mean and biased variance
-    (keepdims arrays) let batch norm update its running statistics without
-    computing them again. The backward is the closed form of Ioffe &
-    Szegedy 2015 (arXiv:1502.03167), extended by the ``rho`` blend.
+    ``x``; ``rho`` is a scalar. Returns ``(out, mean, var)``: the batch mean
+    and biased variance (keepdims arrays) let batch norm update its running
+    statistics without computing them again. The backward is the closed
+    form of Ioffe & Szegedy 2015 (arXiv:1502.03167), extended by the ``rho``
+    blend.
     """
     axes = _norm_axes(axes, x.data.ndim)
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -276,7 +277,10 @@ def normalize(x: Tensor, axes, gamma: Tensor | None = None,
     out_data = xhat
     if rho is not None:
         out_data = np.multiply(xhat, 1.0 - rho.data, out=buf)
-        out_data += x.data * rho.data
+        # one row at a time: a full-size x * rho temporary would set the
+        # peak memory of teacher inference
+        for o, xi in zip(out_data, x.data):
+            o += xi * rho.data
     if gamma is not None:
         out_data = np.multiply(out_data, gamma.data, out=buf)
     if beta is not None:

@@ -6,31 +6,33 @@ backward closure on the output tensor; ``backward(loss)`` topologically
 sorts the recorded graph and runs one reverse sweep, accumulating ``.grad``
 on every tensor that requires it.
 
-A recorded graph must not be driven from two threads at once; tensors
-themselves are treated as immutable values once created.
+Grad mode and the multiply tally are context variables, so each thread has
+its own: a worker running inference under ``no_grad()`` does not stop
+another thread from recording its graph. A recorded graph must not be
+driven from two threads at once; tensors themselves are treated as
+immutable values once created.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from .errors import UsageError
 
-_grad_enabled = True
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -137,7 +139,7 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -347,24 +349,25 @@ def _norm_axes(axis, ndim):
 
 # -- multiply tally (used by the complexity profiler) ----------------------
 
-_mac_tally = None
+_mac_tally: ContextVar[list | None] = ContextVar("mac_tally", default=None)
 
 
 @contextmanager
 def count_multiplies():
     """Tally multiply ops of conv/FC/attention kernels executed inside.
 
-    Single-threaded use only. Yields a one-element list holding the count.
+    Counts only what the calling thread runs. Yields a one-element list
+    holding the count.
     """
-    global _mac_tally
-    prev = _mac_tally
-    _mac_tally = [0]
+    tally = [0]
+    token = _mac_tally.set(tally)
     try:
-        yield _mac_tally
+        yield tally
     finally:
-        _mac_tally = prev
+        _mac_tally.reset(token)
 
 
 def _tally_macs(n: int):
-    if _mac_tally is not None:
-        _mac_tally[0] += int(n)
+    tally = _mac_tally.get()
+    if tally is not None:
+        tally[0] += int(n)

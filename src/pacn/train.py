@@ -5,7 +5,8 @@ Runs are fully deterministic for a fixed seed. Every random decision
 (shuffling, per-clip waveform augmentation, mixup gating and weights) draws
 from an RNG derived from (seed, purpose, epoch, clip/batch id); nothing reads
 the wall clock or global RNG state, so checkpoints and metrics files are
-byte-identical across reruns.
+byte-identical across reruns. The same holds although each batch and its
+teacher logits are built one step ahead on a worker thread.
 """
 
 from __future__ import annotations
@@ -354,6 +355,40 @@ def accuracy(model: PacnModel, ds: Dataset, batch_size: int = 64) -> float:
     return float(np.mean(predict(model, ds.features, batch_size) == ds.labels))
 
 
+def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
+             correction: SpectrumCorrection | None, pools: dict[int, list],
+             num_classes: int):
+    """Every epoch's batches in order, as (b_idx, idx, x, y, teacher_logits).
+
+    Shuffling, augmentation, features, mixup and the teacher forward never
+    read the student, so ``_train`` runs this one batch ahead on a worker.
+    """
+    aug = cfg.augment
+    n = len(ds)
+    for epoch in range(1, cfg.epochs + 1):
+        order = derive_rng(cfg.seed, PURPOSE_SHUFFLE, epoch).permutation(n)
+        for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            x_np, waves = _batch_clips(ds, idx, epoch, cfg, correction, pools)
+            y = _one_hot(ds.labels[idx], num_classes)
+
+            mrng = derive_rng(cfg.seed, PURPOSE_MIXUP, epoch, b_idx)
+            if aug.mixup_prob > 0 and mrng.random() < aug.mixup_prob:
+                mb = draw_mixup(len(idx), mrng, cfg.mixup_alpha)
+                if aug.mixup_domain == "waveform":
+                    x_np = _mix_waveforms(waves, mb)
+                    y = (mb.eta * y + (1.0 - mb.eta) * y[mb.pair_index])
+                else:
+                    x_np, y = apply_mixup(x_np, y, mb)
+
+            x = features_to_input(x_np)
+            teacher_logits = None
+            if cfg.kd_lambda < 1.0:
+                # the teacher reads the student's input; nothing mutates it
+                teacher_logits = teacher(x, training=False).data
+            yield b_idx, idx, x, y, teacher_logits
+
+
 def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
            cfg: TrainConfig, teacher: PacnModel | None,
            correction: SpectrumCorrection | None) -> TrainResult:
@@ -370,7 +405,6 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
                           f"the model predicts {num_classes} classes")
     model = PacnModel(model_cfg, seed=cfg.seed)
     opt = Adam(model.params)
-    aug = cfg.augment
     n = len(train_ds)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -379,63 +413,51 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
     pools: dict[int, list] = {}
     for i, clip in enumerate(train_ds.clips):
         pools.setdefault(int(train_ds.labels[i]), []).append(clip)
+    batches = _batches(train_ds, cfg, teacher, correction, pools, num_classes)
 
     metrics = []
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = derive_rng(cfg.seed, PURPOSE_SHUFFLE, epoch).permutation(n)
-        loss_sum = hard_sum = dist_sum = 0.0
-        correct = 0
-        lr = 0.0
-        for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            x_np, waves = _batch_clips(train_ds, idx, epoch, cfg, correction, pools)
-            y = _one_hot(train_ds.labels[idx], num_classes)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # the worker builds batch b + 1 while the student trains on batch b
+        ahead = worker.submit(next, batches, None)
+        for epoch in range(1, cfg.epochs + 1):
+            loss_sum = hard_sum = dist_sum = 0.0
+            correct = 0
+            lr = 0.0
+            for _ in range(steps_per_epoch):
+                b_idx, idx, x, y, teacher_logits = ahead.result()
+                ahead = worker.submit(next, batches, None)
+                logits = model(x, training=True)
+                parts = kd_loss(logits, y, teacher_logits, lam,
+                                cfg.kd_temperature, cfg.kd_t2_scale)
+                total_val = float(parts.total.data)
+                if not math.isfinite(total_val):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, "
+                                        f"batch {b_idx}")
+                parts.total.backward()
+                step += 1
+                lr = lr_at(step, total_steps, warmup_steps, cfg.peak_lr)
+                opt.step(lr)
+                model.clamp_arn()
+                model.zero_grad()
 
-            mrng = derive_rng(cfg.seed, PURPOSE_MIXUP, epoch, b_idx)
-            if aug.mixup_prob > 0 and mrng.random() < aug.mixup_prob:
-                mb = draw_mixup(len(idx), mrng, cfg.mixup_alpha)
-                if aug.mixup_domain == "waveform":
-                    x_np = _mix_waveforms(waves, mb)
-                    y = (mb.eta * y + (1.0 - mb.eta) * y[mb.pair_index])
-                else:
-                    x_np, y = apply_mixup(x_np, y, mb)
+                bs = len(idx)
+                loss_sum += total_val * bs
+                hard_sum += parts.hard * bs
+                dist_sum += parts.distill * bs
+                correct += int((logits.data.argmax(axis=-1)
+                                == y.argmax(axis=-1)).sum())
 
-            x = features_to_input(x_np)
-            logits = model(x, training=True)
-            teacher_logits = None
-            if lam < 1.0:
-                # the teacher reads the student's input; nothing mutates it
-                teacher_logits = teacher(x, training=False).data
-            parts = kd_loss(logits, y, teacher_logits, lam,
-                            cfg.kd_temperature, cfg.kd_t2_scale)
-            total_val = float(parts.total.data)
-            if not math.isfinite(total_val):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, "
-                                    f"batch {b_idx}")
-            parts.total.backward()
-            step += 1
-            lr = lr_at(step, total_steps, warmup_steps, cfg.peak_lr)
-            opt.step(lr)
-            model.clamp_arn()
-            model.zero_grad()
-
-            bs = len(idx)
-            loss_sum += total_val * bs
-            hard_sum += parts.hard * bs
-            dist_sum += parts.distill * bs
-            correct += int((logits.data.argmax(axis=-1) == y.argmax(axis=-1)).sum())
-
-        val_acc = None
-        if val_ds is not None and len(val_ds) > 0:
-            val_acc = accuracy(model, val_ds)
-        em = EpochMetrics(epoch=epoch, lr=lr, train_loss=loss_sum / n,
-                          hard_loss=hard_sum / n, distill_loss=dist_sum / n,
-                          train_acc=correct / n, val_acc=val_acc)
-        metrics.append(em)
-        log.info("epoch %d/%d lr %.3g loss %.4f acc %.3f val %s", epoch,
-                 cfg.epochs, em.lr, em.train_loss, em.train_acc,
-                 "-" if val_acc is None else f"{val_acc:.3f}")
+            val_acc = None
+            if val_ds is not None and len(val_ds) > 0:
+                val_acc = accuracy(model, val_ds)
+            em = EpochMetrics(epoch=epoch, lr=lr, train_loss=loss_sum / n,
+                              hard_loss=hard_sum / n, distill_loss=dist_sum / n,
+                              train_acc=correct / n, val_acc=val_acc)
+            metrics.append(em)
+            log.info("epoch %d/%d lr %.3g loss %.4f acc %.3f val %s", epoch,
+                     cfg.epochs, em.lr, em.train_loss, em.train_acc,
+                     "-" if val_acc is None else f"{val_acc:.3f}")
     return TrainResult(model=model, metrics=metrics, train_config=cfg,
                        model_config=model_cfg)
 

@@ -382,3 +382,16 @@ class TestArgHandling:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "e.csv").exists()
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_fails_cleanly(self, work, tmp_path, capsys,
+                                                threads):
+        assert run("--quiet", "--threads", threads, "train-teacher",
+                   "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", work / "data" / "manifest.tsv",
+                   "--out", tmp_path / "t.ckpt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "--threads" in err
+        assert not (tmp_path / "t.ckpt").exists()

@@ -614,6 +614,16 @@ class TestNormalizeOp:
             # a constant slice standardizes to 0, so only beta is left
             np.testing.assert_array_equal(out.data[:, 1], 0.5)
 
+    def test_row_wise_blend_matches_full_size_bitwise(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((16, 4, 64, 33)).astype(np.float32)
+        rho = np.float32(0.3)
+        out = normalize(Tensor(x), (1, 3), rho=Tensor(rho))[0].data
+        xhat = normalize(Tensor(x), (1, 3))[0].data
+        expected = xhat * (1 - rho) + x * rho
+        assert out.dtype == expected.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestAttention:
     def test_zero_query_averages_values(self):

@@ -1,5 +1,7 @@
 """Autodiff engine: elementary ops, graph mechanics, multiply tally."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,48 @@ class TestMultiplyTally:
                 matmul(a, a)
             assert inner[0] == 8
         assert outer[0] == 8
+
+
+class TestPerThreadState:
+    def test_no_grad_on_one_thread_leaves_another_recording(self):
+        entered, checked = threading.Event(), threading.Event()
+
+        def worker():
+            with no_grad():
+                entered.set()
+                checked.wait(timeout=10)
+
+        t = threading.Thread(target=worker)
+        t.start()
+        try:
+            assert entered.wait(timeout=10)
+            a = Tensor(np.ones(3), requires_grad=True)
+            out = a * 2.0
+        finally:
+            checked.set()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert out.requires_grad
+        assert out._parents[0] is a
+
+    def test_tally_counts_only_its_own_thread(self):
+        opened, ran = threading.Event(), threading.Event()
+        counted = []
+
+        def worker():
+            with count_multiplies() as tally:
+                opened.set()
+                ran.wait(timeout=10)
+                counted.append(tally[0])
+
+        t = threading.Thread(target=worker)
+        t.start()
+        try:
+            assert opened.wait(timeout=10)
+            a = Tensor(np.ones((2, 2), dtype=np.float32))
+            matmul(a, a)
+        finally:
+            ran.set()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert counted == [0]

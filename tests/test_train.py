@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacn.augment import AugmentConfig
-from pacn.errors import ConfigError, PacnError, TrainingError, UsageError
+import pacn.train
+from pacn.errors import (ConfigError, IngestionError, PacnError, TrainingError,
+                         UsageError)
 from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
 from pacn.manifest import parse_manifest, write_manifest
@@ -447,6 +450,48 @@ class TestTrainingLoop:
             pitch_prob=0.0, audio_mix_prob=0.0))
         res = train_teacher(tiny_config(), tiny_ds, cfg)
         assert math.isfinite(res.metrics[0].train_loss)
+
+    def test_teacher_sees_student_batches_off_main_thread(self, tiny_ds,
+                                                          monkeypatch):
+        teacher = PacnModel(tiny_config(), seed=9)
+        teacher_calls, student_inputs = [], []
+        forward = PacnModel.forward
+
+        def spy(model, x, training=False):
+            if model is teacher:
+                teacher_calls.append((x.data.tobytes(),
+                                      threading.current_thread()))
+            elif training:
+                student_inputs.append(x.data.tobytes())
+            return forward(model, x, training)
+
+        monkeypatch.setattr(PacnModel, "forward", spy)
+        train_student_kd(tiny_config(), teacher, tiny_ds,
+                         fast_cfg(kd_lambda=0.5, augment=AugmentConfig()))
+        assert len(student_inputs) == 2 * 3     # 2 epochs of 18 clips at 8
+        assert [x for x, _ in teacher_calls] == student_inputs
+        main = threading.main_thread()
+        assert all(t is not main for _, t in teacher_calls)
+
+    def test_producer_error_reaches_caller(self, tiny_ds, monkeypatch):
+        error = IngestionError("third clip is unreadable")
+        calls = []
+        augment = pacn.train.augment_clip
+
+        def failing(clip, *args, **kwargs):
+            calls.append(clip)
+            if len(calls) == 3:
+                raise error
+            return augment(clip, *args, **kwargs)
+
+        monkeypatch.setattr(pacn.train, "augment_clip", failing)
+        teacher = PacnModel(tiny_config(), seed=9)
+        threads_before = threading.active_count()
+        with pytest.raises(IngestionError) as info:
+            train_student_kd(tiny_config(), teacher, tiny_ds,
+                             fast_cfg(kd_lambda=0.5))
+        assert info.value is error
+        assert threading.active_count() == threads_before
 
 
 class TestMeanTeacherKl:
