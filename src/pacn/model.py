@@ -28,6 +28,9 @@ CHECKPOINT_MAGIC = b"PACNCKPT"
 CHECKPOINT_VERSION = 1
 
 WIRING_MODES = ("parallel", "serial", "no_fusion")
+# bytes of the widest pre-stage map an inference row block may hold: one
+# core's L2 cache, so each block's maps stay cached from layer to layer
+_PRE_BLOCK_BYTES = 2 << 20
 
 
 def _positive_ints(values) -> bool:
@@ -204,11 +207,41 @@ class PacnModel:
         return ops.fc_forward(x, self.params[f"{path}.weight"],
                               self.params[f"{path}.bias"])
 
+    def _pre_block_rows(self, x: np.ndarray) -> int:
+        """Rows whose widest pre-stage map fits in ``_PRE_BLOCK_BYTES``."""
+        cfg = self.config
+        f, t = x.shape[2:]
+        widest = 1
+        for c, (pf, pt) in zip(cfg.pre_channels, cfg.pre_pools):
+            widest = max(widest, c * f * t)
+            f, t = f // pf, t // pt
+        itemsize = np.result_type(x.dtype, self.dtype).itemsize
+        return max(1, _PRE_BLOCK_BYTES // (widest * itemsize))
+
     def preprocess_forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Pre-processing stack; inference runs it in cache-sized row blocks.
+
+        At inference every pre-stage layer is row-independent (BN uses its
+        running statistics, ARN normalizes within a row), so a row's output
+        is the same bits in any block. Training keeps the whole batch: BN
+        needs its batch statistics.
+        """
         cfg = self.config
         if x.data.ndim != 4 or x.data.shape[1] != cfg.in_channels:
             raise ConfigError(f"expected (n, {cfg.in_channels}, f, t) input, "
                               f"got {x.data.shape}")
+        n = x.data.shape[0]
+        if n == 0:
+            raise ConfigError("empty input batch")
+        rows = self._pre_block_rows(x.data)
+        if training or n <= rows:
+            return self._pre_stages(x, training)
+        return Tensor(np.concatenate(
+            [self._pre_stages(Tensor(x.data[s:s + rows]), False).data
+             for s in range(0, n, rows)]))
+
+    def _pre_stages(self, x: Tensor, training: bool) -> Tensor:
+        cfg = self.config
         for i, pool in enumerate(cfg.pre_pools):
             x = self._bsconv(x, f"pre.{i}")
             if cfg.arn_enabled and i == 0:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from pacn import ops
 from pacn.errors import ConfigError, IngestionError, PacnError
-from pacn.model import PacnConfig, PacnModel, features_to_input
-from pacn.tensor import Tensor, backward, no_grad, relu
+from pacn.model import WIRING_MODES, PacnConfig, PacnModel, features_to_input
+from pacn.tensor import Tensor, backward, count_multiplies, no_grad, relu
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -28,6 +29,19 @@ TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
 
 def rand_input(rng, n=2, f=256, t=65, channels=2):
     return Tensor(rng.standard_normal((n, channels, f, t)).astype(np.float32))
+
+
+def packaged_config(name):
+    import importlib.resources as res
+    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
+    return PacnConfig.from_json(text)
+
+
+def warmed_model(cfg, seed=4):
+    """A model whose BN running statistics have left their initial values."""
+    model = PacnModel(cfg, seed=seed)
+    model(rand_input(np.random.default_rng(seed), n=4), training=True)
+    return model
 
 
 class TestFin:
@@ -109,9 +123,7 @@ def relu_first_preprocess(model, x, training):
 
 @pytest.mark.parametrize("name", ["student", "teacher"])
 def test_pool_then_relu_matches_relu_then_pool_bitwise(name, monkeypatch):
-    import importlib.resources as res
-    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
-    cfg = PacnConfig.from_json(text)
+    cfg = packaged_config(name)
     rng = np.random.default_rng(21)
     x = rand_input(rng, n=4)
     y = np.eye(cfg.num_classes)[rng.integers(0, cfg.num_classes, size=4)]
@@ -131,6 +143,114 @@ def test_pool_then_relu_matches_relu_then_pool_bitwise(name, monkeypatch):
                         lambda x, training=False:
                         relu_first_preprocess(model, x, training))
     assert got == run(model)
+
+
+ROW_POOL = 6
+
+
+@pytest.fixture(scope="module", params=["student", "teacher"])
+def packaged(request):
+    """(model, rows, each row's batch-1 pre-stage output, all-row logits)."""
+    model = warmed_model(packaged_config(request.param))
+    x = rand_input(np.random.default_rng(22), n=ROW_POOL).data
+    with no_grad():
+        singles = [model.preprocess_forward(Tensor(x[i:i + 1])).data
+                   for i in range(ROW_POOL)]
+    return model, x, singles, model(Tensor(x)).data
+
+
+class TestRowIndependence:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_pre_stage_row_is_the_same_bits_in_any_batch_and_block(
+            self, packaged, data):
+        model, x, singles, _ = packaged
+        idx = data.draw(st.lists(st.integers(0, ROW_POOL - 1), min_size=1,
+                                 max_size=ROW_POOL, unique=True), label="rows")
+        block = data.draw(st.integers(1, len(idx)), label="block")
+        with pytest.MonkeyPatch.context() as mp, no_grad():
+            mp.setattr(PacnModel, "_pre_block_rows", lambda self, x: block)
+            h = model.preprocess_forward(Tensor(x[idx])).data
+        for k, i in enumerate(idx):
+            assert h[k].tobytes() == singles[i].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_logits_are_the_same_bits_in_any_batch_of_two_or_more(
+            self, packaged, data):
+        model, x, _, full = packaged
+        idx = data.draw(st.lists(st.integers(0, ROW_POOL - 1), min_size=2,
+                                 max_size=ROW_POOL, unique=True), label="rows")
+        assert model(Tensor(x[idx])).data.tobytes() == full[idx].tobytes()
+
+    def test_batch_one_logits_differ_only_at_the_head_fc(self, packaged):
+        model, x, _, full = packaged
+        heads = []
+        fuse = model.fuse_forward
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "fuse_forward", lambda g, l: heads.append(
+                (g.data.tobytes(), l.data.tobytes())) or fuse(g, l))
+            model(Tensor(x))
+            ones = np.concatenate([model(Tensor(x[i:i + 1])).data
+                                   for i in range(ROW_POOL)])
+        g_all, l_all = (np.frombuffer(b, np.float32).reshape(ROW_POOL, -1)
+                        for b in heads[0])
+        for i, (g1, l1) in enumerate(heads[1:]):
+            assert (g1, l1) == (g_all[i].tobytes(), l_all[i].tobytes())
+        # Everything before the head is the same bits at batch 1. The head FC
+        # of one row is a BLAS matrix-vector product, which sums in another
+        # order than the matrix-matrix product of two or more rows: the
+        # teacher's 128-wide head moves by up to 3.1e-6 (0.62 ppm of its
+        # largest logit), the student's 32-wide head not at all. Bound: 32
+        # float32 ulps of the largest logit.
+        tol = 32 * np.finfo(np.float32).eps * np.abs(full).max()
+        np.testing.assert_allclose(ones, full, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("mode", WIRING_MODES)
+@pytest.mark.parametrize("name, rows", [("student", 10), ("teacher", 2)])
+def test_blocked_inference_matches_one_block_bitwise(name, rows, mode,
+                                                     monkeypatch):
+    cfg = dataclasses.replace(packaged_config(name), wiring_mode=mode)
+    model = warmed_model(cfg)
+    x = rand_input(np.random.default_rng(23), n=64).data
+    assert model._pre_block_rows(x) == rows
+    with count_multiplies() as one_row:
+        model(Tensor(x[:1]))
+    sizes = sorted({max(rows - 1, 1), rows, rows + 1, 2 * rows + 1, 64})
+    blocked = {}
+    for n in sizes:
+        with count_multiplies() as tally:
+            blocked[n] = model(Tensor(x[:n])).data.tobytes()
+        assert tally[0] == n * one_row[0]
+    monkeypatch.setattr("pacn.model._PRE_BLOCK_BYTES", 1 << 40)
+    for n in sizes:
+        assert model(Tensor(x[:n])).data.tobytes() == blocked[n]
+
+
+def test_teacher_inference_peak_stays_below_one_full_batch_map():
+    cfg = packaged_config("teacher")
+    model = warmed_model(cfg)
+    x = rand_input(np.random.default_rng(25), n=64)
+    full_map = 64 * cfg.pre_channels[0] * 256 * 65 * 4       # pre.0, 51 MB
+    tracemalloc.start()
+    try:
+        model(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_map
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_empty_batch_rejected_before_any_layer(training):
+    model = warmed_model(PacnConfig())
+    before = {k: (v["mean"].tobytes(), v["var"].tobytes())
+              for k, v in model.state.items()}
+    with pytest.raises(ConfigError, match="empty"):
+        model(rand_input(np.random.default_rng(24), n=0), training=training)
+    assert {k: (v["mean"].tobytes(), v["var"].tobytes())
+            for k, v in model.state.items()} == before
 
 
 class TestBranches:
