@@ -29,8 +29,7 @@ LOG_FLOOR = 1e-10
 
 @dataclass
 class AudioClip:
-    samples: np.ndarray                     # float32, exactly CLIP_SAMPLES long
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray                     # float32, CLIP_SAMPLES at SAMPLE_RATE
     scene_label: int = -1
     device_id: str = ""
     city: str = ""
@@ -39,8 +38,6 @@ class AudioClip:
 @dataclass
 class FeatureClip:
     feature: np.ndarray                     # (256, 65, 2) float32
-    scene_label: int = -1
-    device_id: str = ""
 
 
 def resample_linear(samples: np.ndarray, ratio: float) -> np.ndarray:
@@ -178,5 +175,4 @@ def extract_feature(clip: AudioClip, spectrum_coeffs: np.ndarray | None = None) 
     logmel = mel_log(power)
     delta = delta_coefficients(logmel)
     feature = np.stack([logmel, delta], axis=-1).astype(np.float32)
-    return FeatureClip(feature=feature, scene_label=clip.scene_label,
-                       device_id=clip.device_id)
+    return FeatureClip(feature=feature)

@@ -1,8 +1,8 @@
 """Data augmentation: mixup, device spectrum correction, pitch shift, audio mix.
 
 Pitch shift and audio mix act on waveforms at load time; mixup acts on whole
-batches (feature domain by default); spectrum correction multiplies magnitude
-spectra per frequency bin before Mel filtering.
+batches of features; spectrum correction multiplies magnitude spectra per
+frequency bin before Mel filtering.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ MIX_DEVICE_ID = "mix"
 @dataclass
 class AugmentConfig:
     mixup_prob: float = 0.5
-    mixup_domain: str = "feature"           # "feature" or "waveform"
     pitch_prob: float = 0.3
     pitch_factors: tuple = PITCH_FACTORS
     audio_mix_prob: float = 0.3
@@ -43,21 +42,6 @@ class MixupBatch:
     pair_index: np.ndarray
 
 
-def mixup(x_i: np.ndarray, y_i: np.ndarray, x_j: np.ndarray, y_j: np.ndarray,
-          eta: float):
-    """Convex combination of two batches, labels mixed with the same weight."""
-    if x_i.shape != x_j.shape or y_i.shape != y_j.shape:
-        raise UsageError(f"mixup shape mismatch: {x_i.shape} vs {x_j.shape}, "
-                         f"{y_i.shape} vs {y_j.shape}")
-    if eta == 1.0:
-        return x_i.copy(), y_i.copy()
-    if eta == 0.0:
-        return x_j.copy(), y_j.copy()
-    x = eta * x_i + (1.0 - eta) * x_j
-    y = eta * y_i + (1.0 - eta) * y_j
-    return x, y
-
-
 def draw_mixup(batch_size: int, rng: np.random.Generator,
                alpha: float = 0.4) -> MixupBatch:
     """Pair the batch with a permutation of itself and draw the Beta weight."""
@@ -66,7 +50,15 @@ def draw_mixup(batch_size: int, rng: np.random.Generator,
 
 
 def apply_mixup(x: np.ndarray, y: np.ndarray, mb: MixupBatch):
-    return mixup(x, y, x[mb.pair_index], y[mb.pair_index], mb.eta)
+    """Convex combination of a batch with its permutation; the labels are
+    mixed with the same weight."""
+    if mb.eta == 1.0:
+        return x.copy(), y.copy()
+    x_j, y_j = x[mb.pair_index], y[mb.pair_index]
+    if mb.eta == 0.0:
+        return x_j, y_j
+    return (mb.eta * x + (1.0 - mb.eta) * x_j,
+            mb.eta * y + (1.0 - mb.eta) * y_j)
 
 
 # -- spectrum correction ------------------------------------------------------

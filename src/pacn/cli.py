@@ -162,6 +162,8 @@ def _read_scores_csv(path):
                 raise IngestionError(f"{path}:{lineno}: {exc}") from exc
             if not values:
                 raise IngestionError(f"{path}:{lineno}: no scores in row")
+            if not np.isfinite(values).all():
+                raise IngestionError(f"{path}:{lineno}: non-finite score")
             if rows and len(values) != len(rows[0]):
                 raise IngestionError(f"{path}:{lineno}: expected "
                                      f"{len(rows[0])} scores, got {len(values)}")

@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .errors import UsageError
 from .manifest import SCENE_LABELS
-from .model import PacnModel, features_to_input
+from .model import PacnModel, check_labels, features_to_input
 from .seeding import PURPOSE_SUBSET, derive_rng
 
 # infinite-df studentized range quantiles divided by sqrt(2), k = 2..10
@@ -33,8 +33,11 @@ Q_ALPHA = {
 # -- classifier evaluation -----------------------------------------------------
 
 
-def predict(model: PacnModel, features: np.ndarray,
-            batch_size: int = 64) -> np.ndarray:
+# clips per inference forward when predicting or comparing whole datasets
+EVAL_BATCH = 64
+
+
+def predict(model: PacnModel, features: np.ndarray) -> np.ndarray:
     """Class predictions for a (n, 256, 65, 2) feature stack.
 
     Ties resolve to the lowest class index (first argmax).
@@ -42,8 +45,8 @@ def predict(model: PacnModel, features: np.ndarray,
     if len(features) == 0:
         raise UsageError("empty feature set")
     preds = []
-    for start in range(0, len(features), batch_size):
-        x = features_to_input(features[start:start + batch_size])
+    for start in range(0, len(features), EVAL_BATCH):
+        x = features_to_input(features[start:start + EVAL_BATCH])
         logits = model(x, training=False).data
         preds.append(logits.argmax(axis=-1))
     return np.concatenate(preds).astype(np.int64)
@@ -60,17 +63,17 @@ class EvalResult:
     n_clips: int = 0
 
 
-def evaluate(model: PacnModel, dataset, batch_size: int = 64,
-             unseen_devices=()) -> EvalResult:
+def evaluate(model: PacnModel, dataset, unseen_devices=()) -> EvalResult:
     """Accuracy breakdown for any object with features/labels/devices."""
     n = len(dataset.labels)
     if n == 0:
         raise UsageError("cannot evaluate an empty dataset")
-    preds = predict(model, dataset.features, batch_size)
     labels = np.asarray(dataset.labels)
+    num_classes = model.config.num_classes
+    check_labels(labels, num_classes)
+    preds = predict(model, dataset.features)
     correct = preds == labels
 
-    num_classes = model.config.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
 
@@ -249,6 +252,7 @@ PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
 
 
 def _svg_text(x, y, text, size=11, anchor="start"):
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}">{text}</text>')
 

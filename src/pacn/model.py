@@ -84,6 +84,14 @@ class PacnConfig(JsonConfig):
         return self
 
 
+def check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ConfigError if a label lies beyond the model's last class."""
+    top = int(labels.max())
+    if top >= num_classes:
+        raise ConfigError(f"dataset has label {top} but the model predicts "
+                          f"{num_classes} classes")
+
+
 def features_to_input(batch: np.ndarray) -> Tensor:
     """(n, 256, 65, 2) feature stack -> (n, 2, 256, 65) network input."""
     return Tensor(np.ascontiguousarray(batch.transpose(0, 3, 1, 2)))
@@ -381,6 +389,9 @@ class PacnModel:
                                      f"expected {target.shape}")
             raw = reader.take(4 * target.size, name)
             target[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(target).all():
+                raise IngestionError(f"tensor {name} in {path} holds "
+                                     "non-finite values")
             loaded.add(name)
         missing = set(expected) - loaded
         if missing:

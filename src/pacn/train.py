@@ -31,7 +31,7 @@ from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
 from .errors import (ConfigError, JsonConfig, TrainingError,
                      UsageError, check_field_types)
 from .manifest import parse_manifest
-from .model import PacnConfig, PacnModel, features_to_input
+from .model import PacnConfig, PacnModel, check_labels, features_to_input
 from .seeding import (PURPOSE_AUGMENT, PURPOSE_MIXUP, PURPOSE_SHUFFLE,
                       derive_rng)
 from .tensor import Tensor
@@ -53,7 +53,6 @@ class TrainConfig(JsonConfig):
     warmup_epochs: int = 10
     kd_lambda: float = 0.226
     kd_temperature: float = 2.0
-    kd_t2_scale: bool = True
     mixup_alpha: float = 0.4
     seed: int = 0
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -80,9 +79,6 @@ class TrainConfig(JsonConfig):
         if not factors or min(factors) <= 0:
             raise ConfigError("augment pitch_factors must be a non-empty list "
                               "of positive numbers")
-        if aug.mixup_domain not in ("feature", "waveform"):
-            raise ConfigError("augment mixup_domain must be 'feature' or "
-                              f"'waveform', got {aug.mixup_domain!r}")
         for name in ("mixup_prob", "pitch_prob", "audio_mix_prob"):
             value = getattr(aug, name)
             if not 0.0 <= value <= 1.0:
@@ -111,11 +107,11 @@ def _softmax_np(z: np.ndarray) -> np.ndarray:
 
 
 def kd_loss(student_logits: Tensor, targets: np.ndarray,
-            teacher_logits: np.ndarray | None, lam: float, temperature: float,
-            t2_scale: bool = True) -> KdLossParts:
+            teacher_logits: np.ndarray | None, lam: float,
+            temperature: float) -> KdLossParts:
     """Blend hard cross-entropy with KL to temperature-softened teacher probs.
 
-    total = lam * hard + (1 - lam) * T^2 * distill  (T^2 factor optional).
+    total = lam * hard + (1 - lam) * T^2 * distill.
     At lam == 1 the teacher term is skipped entirely and ``total`` is the
     cross-entropy tensor itself, so a lam=1 run is bit-identical to training
     without any teacher.
@@ -131,7 +127,7 @@ def kd_loss(student_logits: Tensor, targets: np.ndarray,
         raise UsageError("kd weight < 1 requires teacher logits")
     probs = _softmax_np(np.asarray(teacher_logits) / temperature)
     distill = ops.kl_from_teacher(probs, student_logits / temperature)
-    scale = (1.0 - lam) * (temperature * temperature if t2_scale else 1.0)
+    scale = (1.0 - lam) * (temperature * temperature)
     total = distill * scale if lam == 0.0 else hard * lam + distill * scale
     return KdLossParts(total=total, hard=float(hard.data),
                        distill=float(distill.data))
@@ -330,29 +326,19 @@ def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
                  correction: SpectrumCorrection | None, pools: dict[int, list]):
     """Per-clip waveform augmentation; cached features reused when untouched."""
     feats = []
-    waves = []
     for i in idx:
         clip = ds.clips[i]
         rng = derive_rng(cfg.seed, PURPOSE_AUGMENT, epoch, ds.names[i])
         out = augment_clip(clip, pools[int(ds.labels[i])], rng, cfg.augment)
-        waves.append(out)
         feats.append(ds.features[i] if out is clip
                      else _clip_feature(out, correction))
-    return np.stack(feats), waves
-
-
-def _mix_waveforms(waves, mb) -> np.ndarray:
-    stacked = np.stack([w.samples for w in waves]).astype(np.float64)
-    mixed = mb.eta * stacked + (1.0 - mb.eta) * stacked[mb.pair_index]
-    feats = [extract_feature(AudioClip(samples=row.astype(np.float32))).feature
-             for row in mixed]
     return np.stack(feats)
 
 
-def accuracy(model: PacnModel, ds: Dataset, batch_size: int = 64) -> float:
+def accuracy(model: PacnModel, ds: Dataset) -> float:
     from .evalstats import predict
 
-    return float(np.mean(predict(model, ds.features, batch_size) == ds.labels))
+    return float(np.mean(predict(model, ds.features) == ds.labels))
 
 
 def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
@@ -369,17 +355,13 @@ def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
         order = derive_rng(cfg.seed, PURPOSE_SHUFFLE, epoch).permutation(n)
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            x_np, waves = _batch_clips(ds, idx, epoch, cfg, correction, pools)
+            x_np = _batch_clips(ds, idx, epoch, cfg, correction, pools)
             y = _one_hot(ds.labels[idx], num_classes)
 
             mrng = derive_rng(cfg.seed, PURPOSE_MIXUP, epoch, b_idx)
             if aug.mixup_prob > 0 and mrng.random() < aug.mixup_prob:
                 mb = draw_mixup(len(idx), mrng, cfg.mixup_alpha)
-                if aug.mixup_domain == "waveform":
-                    x_np = _mix_waveforms(waves, mb)
-                    y = (mb.eta * y + (1.0 - mb.eta) * y[mb.pair_index])
-                else:
-                    x_np, y = apply_mixup(x_np, y, mb)
+                x_np, y = apply_mixup(x_np, y, mb)
 
             x = features_to_input(x_np)
             teacher_logits = None
@@ -400,9 +382,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
         raise UsageError("kd_lambda < 1 requires a teacher model")
 
     num_classes = model_cfg.num_classes
-    if int(train_ds.labels.max()) >= num_classes:
-        raise ConfigError(f"dataset has label {int(train_ds.labels.max())} but "
-                          f"the model predicts {num_classes} classes")
+    check_labels(train_ds.labels, num_classes)
     model = PacnModel(model_cfg, seed=cfg.seed)
     opt = Adam(model.params)
     n = len(train_ds)
@@ -429,7 +409,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
                 ahead = worker.submit(next, batches, None)
                 logits = model(x, training=True)
                 parts = kd_loss(logits, y, teacher_logits, lam,
-                                cfg.kd_temperature, cfg.kd_t2_scale)
+                                cfg.kd_temperature)
                 total_val = float(parts.total.data)
                 if not math.isfinite(total_val):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, "
@@ -484,14 +464,16 @@ def train_student_kd(model_cfg: PacnConfig, teacher: PacnModel | None,
 
 
 def mean_teacher_kl(teacher: PacnModel, student: PacnModel,
-                    features: np.ndarray, batch_size: int = 64) -> float:
+                    features: np.ndarray) -> float:
     """Mean KL(teacher || student) over clips, temperature 1, float64."""
+    from .evalstats import EVAL_BATCH
+
     total = 0.0
     n = len(features)
     if n == 0:
         raise UsageError("empty feature set")
-    for start in range(0, n, batch_size):
-        x = features_to_input(features[start:start + batch_size])
+    for start in range(0, n, EVAL_BATCH):
+        x = features_to_input(features[start:start + EVAL_BATCH])
         zt = teacher(x, training=False).data.astype(np.float64)
         zs = student(x, training=False).data.astype(np.float64)
         pt = _softmax_np(zt)

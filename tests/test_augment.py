@@ -18,28 +18,25 @@ def tone(freq, amp=0.5):
 
 class TestMixup:
     def test_eta_one_returns_first_batch(self):
-        x1, x2 = np.ones((4, 3)), np.zeros((4, 3))
-        y1, y2 = np.eye(3)[[0, 1, 2, 0]], np.eye(3)[[1, 1, 1, 1]]
-        x, y = augment.mixup(x1, y1, x2, y2, eta=1.0)
-        np.testing.assert_array_equal(x, x1)
-        np.testing.assert_array_equal(y, y1)
+        x, y = np.arange(12.0).reshape(4, 3), np.eye(3)[[0, 1, 2, 0]]
+        mb = augment.MixupBatch(eta=1.0, pair_index=np.array([3, 2, 1, 0]))
+        xm, ym = augment.apply_mixup(x, y, mb)
+        np.testing.assert_array_equal(xm, x)
+        np.testing.assert_array_equal(ym, y)
+        assert xm is not x and ym is not y
 
     def test_eta_zero_returns_second_batch(self):
-        x1, x2 = np.ones((4, 3)), np.full((4, 3), 5.0)
-        y = np.eye(3)[[0] * 4]
-        x, yy = augment.mixup(x1, y, x2, y, eta=0.0)
-        np.testing.assert_array_equal(x, x2)
+        x, y = np.arange(12.0).reshape(4, 3), np.eye(3)[[0, 1, 2, 0]]
+        perm = np.array([2, 0, 3, 1])
+        xm, ym = augment.apply_mixup(x, y, augment.MixupBatch(0.0, perm))
+        np.testing.assert_array_equal(xm, x[perm])
+        np.testing.assert_array_equal(ym, y[perm])
 
     def test_halfway_arithmetic(self):
-        x, y = augment.mixup(np.array([2.0]), np.array([1.0]),
-                             np.array([4.0]), np.array([0.0]), eta=0.5)
-        assert x[0] == pytest.approx(3.0)
-        assert y[0] == pytest.approx(0.5)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            augment.mixup(np.ones((2, 3)), np.ones((2,)),
-                          np.ones((3, 3)), np.ones((3,)), eta=0.5)
+        mb = augment.MixupBatch(eta=0.5, pair_index=np.array([1, 0]))
+        x, y = augment.apply_mixup(np.array([2.0, 4.0]), np.array([1.0, 0.0]), mb)
+        assert x.tolist() == [3.0, 3.0]
+        assert y.tolist() == [0.5, 0.5]
 
     def test_draw_is_reproducible(self):
         a = augment.draw_mixup(16, np.random.default_rng(9))

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -43,6 +44,15 @@ def work(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def fails_cleanly(capsys, *argv) -> str:
+    """Run a command that must fail with exit 1 and an ``error:`` line on
+    stderr, not a traceback; return stderr."""
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
 
 
 def count_read_wav(monkeypatch, *modules):
@@ -182,10 +192,25 @@ class TestEval:
     def test_truncated_checkpoint_fails_cleanly(self, work, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes((work / "teacher.ckpt").read_bytes()[:14])
-        assert run("--quiet", "eval", "--ckpt", cut,
-                   "--manifest", work / "data" / "manifest.tsv") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        fails_cleanly(capsys, "--quiet", "eval", "--ckpt", cut,
+                      "--manifest", work / "data" / "manifest.tsv")
+
+    def test_too_few_classes_fails_cleanly(self, work, tmp_path, capsys):
+        ckpt = tmp_path / "one_class.ckpt"
+        pacn.model.PacnModel(pacn.model.PacnConfig(
+            **dict(TINY_MODEL, num_classes=1))).save(ckpt)
+        err = fails_cleanly(capsys, "--quiet", "eval", "--ckpt", ckpt,
+                            "--manifest", work / "data" / "manifest.tsv")
+        assert "label 1 but the model predicts 1 classes" in err
+
+    def test_non_finite_checkpoint_fails_cleanly(self, work, tmp_path, capsys):
+        model = pacn.model.PacnModel.load(work / "teacher.ckpt")
+        model.params["head.fc.bias"].data[0] = float("nan")
+        ckpt = tmp_path / "nan.ckpt"
+        model.save(ckpt)
+        err = fails_cleanly(capsys, "--quiet", "eval", "--ckpt", ckpt,
+                            "--manifest", work / "data" / "manifest.tsv")
+        assert "head.fc.bias" in err and "non-finite" in err
 
     def test_subset_scores_row(self, work, tmp_path):
         assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
@@ -255,6 +280,24 @@ class TestSignificance:
         assert run("significance", "--scores", path) == 1
         assert ":3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_fails_with_line(self, tmp_path, capsys, score):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"method,subset_1,subset_2\nours,0.9,0.8\n"
+                        f"base,0.7,{score}\n")
+        err = fails_cleanly(capsys, "significance", "--scores", path)
+        assert f"{path}:3" in err
+        assert not (tmp_path / "bad_ranks.csv").exists()
+
+    def test_method_names_escaped_in_svg(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("method,subset_1,subset_2\n"
+                        "a&b<c,0.9,0.8\nbase,0.7,0.6\n")
+        assert run("significance", "--scores", path) == 0
+        svg = ET.parse(tmp_path / "scores_ranks.svg")
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts
+
 
 class TestAugmentPreview:
     def test_writes_triplets(self, work, tmp_path):
@@ -315,10 +358,8 @@ class TestArgHandling:
         bad.write_text(text)
         data = (["--manifest", work / "data" / "manifest.tsv"]
                 if command == "train-teacher" else [])
-        assert run("--quiet", command, flag, bad, *data,
-                   "--out", tmp_path / "out") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        fails_cleanly(capsys, "--quiet", command, flag, bad, *data,
+                      "--out", tmp_path / "out")
 
     @pytest.mark.parametrize("text", ['{"arn_enabled": "no"}',
                                       '{"gci_heads": true}',
@@ -326,9 +367,7 @@ class TestArgHandling:
     def test_mistyped_model_config_fails_cleanly(self, tmp_path, capsys, text):
         bad = tmp_path / "model.json"
         bad.write_text(text)
-        assert run("profile", "--config", bad) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        fails_cleanly(capsys, "profile", "--config", bad)
 
     @pytest.mark.parametrize("command, flag", [("profile", "--config"),
                                                ("synth-data", "--spec"),
@@ -341,19 +380,16 @@ class TestArgHandling:
                  "synth-data": ["--out", tmp_path / "out"],
                  "train-teacher": ["--manifest", work / "data" / "manifest.tsv",
                                    "--out", tmp_path / "t.ckpt"]}[command]
-        assert run("--quiet", command, flag, bad, *extra) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        err = fails_cleanly(capsys, "--quiet", command, flag, bad, *extra)
         assert str(bad) in err and "UTF-8" in err
 
     def test_non_utf8_manifest_fails_cleanly(self, work, tmp_path, capsys):
         raw = (work / "data" / "manifest.tsv").read_bytes()
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(raw.replace(b".wav", b"\xff.wav", 1))
-        assert run("--quiet", "train-teacher", "--config", work / "train.json",
-                   "--manifest", bad, "--out", tmp_path / "t.ckpt") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        err = fails_cleanly(capsys, "--quiet", "train-teacher",
+                            "--config", work / "train.json",
+                            "--manifest", bad, "--out", tmp_path / "t.ckpt")
         assert "UTF-8" in err
 
     def test_malformed_manifest_line_number(self, work, tmp_path, capsys):
@@ -366,32 +402,26 @@ class TestArgHandling:
 
     def test_non_positive_preview_count_fails_cleanly(self, work, tmp_path,
                                                       capsys):
-        assert run("--quiet", "augment-preview",
-                   "--manifest", work / "data" / "manifest.tsv",
-                   "--out", tmp_path / "p", "--count", "-1") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        fails_cleanly(capsys, "--quiet", "augment-preview",
+                      "--manifest", work / "data" / "manifest.tsv",
+                      "--out", tmp_path / "p", "--count", "-1")
         assert not (tmp_path / "p").exists()
 
     def test_non_positive_subsets_fails_cleanly(self, work, tmp_path, capsys):
-        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
-                   "--manifest", work / "data" / "manifest.tsv",
-                   "--report", tmp_path / "e.csv",
-                   "--subset-scores", tmp_path / "s.csv", "--subsets", "0") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        fails_cleanly(capsys, "--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                      "--manifest", work / "data" / "manifest.tsv",
+                      "--report", tmp_path / "e.csv",
+                      "--subset-scores", tmp_path / "s.csv", "--subsets", "0")
         assert not (tmp_path / "e.csv").exists()
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_non_positive_threads_fails_cleanly(self, work, tmp_path, capsys,
                                                 threads):
-        assert run("--quiet", "--threads", threads, "train-teacher",
-                   "--config", work / "train.json",
-                   "--model-config", work / "model.json",
-                   "--manifest", work / "data" / "manifest.tsv",
-                   "--out", tmp_path / "t.ckpt") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        err = fails_cleanly(capsys, "--quiet", "--threads", threads,
+                            "train-teacher", "--config", work / "train.json",
+                            "--model-config", work / "model.json",
+                            "--manifest", work / "data" / "manifest.tsv",
+                            "--out", tmp_path / "t.ckpt")
         assert "--threads" in err
         assert not (tmp_path / "t.ckpt").exists()

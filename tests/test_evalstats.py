@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import math
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pacn.errors import UsageError
+import pacn.evalstats
+from pacn.errors import ConfigError, UsageError
 from pacn.evalstats import (Q_ALPHA, draw_subsets, evaluate, format_eval_text,
                             friedman_test, nemenyi_cd, predict, rank_matrix,
                             rank_report, subset_accuracy_row, write_eval_csv,
@@ -47,11 +50,11 @@ class TestPredict:
         with pytest.raises(UsageError):
             predict(model, np.zeros((0, 256, 65, 2), dtype=np.float32))
 
-    def test_batching_matches_labels(self):
+    def test_batching_matches_labels(self, monkeypatch):
+        monkeypatch.setattr(pacn.evalstats, "EVAL_BATCH", 3)
         want = [3, 1, 4, 1, 5, 9, 2, 6]
         logits = np.eye(10)[want] * 7.0
-        preds = predict(StubModel(logits), stub_dataset(want).features,
-                        batch_size=3)
+        preds = predict(StubModel(logits), stub_dataset(want).features)
         assert preds.tolist() == want
 
 
@@ -95,6 +98,12 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(UsageError):
             evaluate(StubModel(np.zeros((0, 10))), stub_dataset([]))
+
+    def test_labels_beyond_the_model_rejected(self):
+        model = StubModel(np.zeros((3, 4)), num_classes=4)
+        with pytest.raises(ConfigError, match="label 5 but the model "
+                                              "predicts 4 classes"):
+            evaluate(model, stub_dataset([0, 5, 1]))
 
     def test_text_and_csv_outputs(self, tmp_path):
         labels = [0, 1, 0, 1]
@@ -276,3 +285,13 @@ class TestRankReport:
         assert text.startswith("<svg")
         assert "m3" in text and "CD = " in text
         assert a.read_bytes() == b.read_bytes()
+        # escaping leaves the bytes of plain names as they are
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == \
+            "8c47ccc2f58860339593a96993e2089ce58b1d01e94201ae641fe465e6f5b182"
+
+    def test_svg_escapes_method_names(self, tmp_path):
+        names = ["a&b<c", "m2>", "m3", "m4"]
+        path = tmp_path / "r.svg"
+        write_rank_svg(path, rank_report(ladder_scores(), names))
+        texts = [t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts and "m2>" in texts

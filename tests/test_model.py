@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -528,6 +529,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(bytes(raw))
         with pytest.raises(IngestionError, match="UTF-8"):
+            PacnModel.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["param", "running_var"])
+    def test_non_finite_tensor_rejected(self, tmp_path, kind, value):
+        model = PacnModel(PacnConfig(**TINY), seed=0)
+        if kind == "param":
+            name = "head.fc.bias"
+            model.params[name].data[0] = value
+        else:
+            layer = next(iter(model.state))
+            name = f"state.{layer}.var"
+            model.state[layer]["var"][-1] = value
+        path = tmp_path / "bad.ckpt"
+        model.save(path)
+        with pytest.raises(IngestionError, match=re.escape(name)):
             PacnModel.load(path)
 
     def test_arn_clamp(self):
