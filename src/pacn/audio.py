@@ -101,9 +101,8 @@ def hamming_window() -> np.ndarray:
     return np.hamming(WIN_LENGTH).astype(np.float64)
 
 
-def frame_and_window(clip) -> np.ndarray:
-    """Slice a clip into 65 Hamming-windowed frames of 4096 samples."""
-    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
+def frame_and_window(samples: np.ndarray) -> np.ndarray:
+    """Slice a clip's samples into 65 Hamming-windowed frames of 4096 samples."""
     if len(samples) != CLIP_SAMPLES:
         raise UsageError(f"expected {CLIP_SAMPLES} samples, got {len(samples)}")
     pad_total = HOP_LENGTH * (N_FRAMES - 1) + WIN_LENGTH - CLIP_SAMPLES
@@ -166,7 +165,7 @@ def extract_feature(clip: AudioClip, spectrum_coeffs: np.ndarray | None = None) 
     ``spectrum_coeffs``, if given, multiply the magnitude spectrum per bin
     before Mel filtering (device response correction).
     """
-    frames = frame_and_window(clip)
+    frames = frame_and_window(clip.samples)
     if spectrum_coeffs is not None:
         mag = stft_magnitude(frames) * spectrum_coeffs[None, :]
         power = mag ** 2

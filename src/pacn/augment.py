@@ -43,7 +43,7 @@ class MixupBatch:
 
 
 def draw_mixup(batch_size: int, rng: np.random.Generator,
-               alpha: float = 0.4) -> MixupBatch:
+               alpha: float) -> MixupBatch:
     """Pair the batch with a permutation of itself and draw the Beta weight."""
     return MixupBatch(eta=float(rng.beta(alpha, alpha)),
                       pair_index=rng.permutation(batch_size))

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import logging
 import os
+import re
 import sys
 from importlib import resources
 
@@ -147,6 +148,10 @@ def cmd_profile(args) -> int:
     return 0
 
 
+# characters XML 1.0 cannot hold, not even as a character reference
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _read_scores_csv(path):
     names, rows = [], []
     with open(path, newline="") as fh:
@@ -164,6 +169,9 @@ def _read_scores_csv(path):
                 raise IngestionError(f"{path}:{lineno}: no scores in row")
             if not np.isfinite(values).all():
                 raise IngestionError(f"{path}:{lineno}: non-finite score")
+            if _NOT_XML.search(row[0]):
+                raise IngestionError(f"{path}:{lineno}: method name {row[0]!r} "
+                                     "holds a character XML cannot represent")
             if rows and len(values) != len(rows[0]):
                 raise IngestionError(f"{path}:{lineno}: expected "
                                      f"{len(rows[0])} scores, got {len(values)}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UsageError
 from .manifest import SCENE_LABELS
@@ -129,6 +128,10 @@ def write_eval_csv(path, result: EvalResult):
 
 def rank_matrix(scores: np.ndarray) -> np.ndarray:
     """Per-subset ranks of a (methods, subsets) score matrix; 1 is best."""
+    # imported here: scipy.stats costs about 49 MiB of resident memory, and
+    # only the rank analysis needs it
+    from scipy.stats import rankdata
+
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 1:
         raise UsageError(f"need a (methods >= 2, subsets >= 1) score matrix, "

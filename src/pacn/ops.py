@@ -17,10 +17,8 @@ from .tensor import (
     _norm_axes,
     _tally_macs,
     _unbroadcast,
-    concat,
     matmul,
     mul,
-    relu,
     reshape,
     sqrt,
     tmean,
@@ -29,6 +27,7 @@ from .tensor import (
 )
 
 EPS = 1e-5  # shared epsilon for BN / LN / GRN / FIN
+BN_MOMENTUM = 0.1  # share of the batch statistics in each running-stat update
 # elements per depth-wise tap block: two float32 blocks and the input they
 # read stay within a 2 MiB L2 cache, and small maps still take few calls
 _DW_BLOCK = 1 << 17
@@ -41,7 +40,7 @@ def _same_pad(dim: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo
 
 
-def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """1x1 convolution: w has shape (c_out, c_in)."""
     n, ci, f, t = x.data.shape
     co, ci_w = w.data.shape
@@ -50,21 +49,18 @@ def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xm = x.data.reshape(n, ci, f * t)
     out_data = np.matmul(w.data, xm).reshape(n, co, f, t)
     _tally_macs(n * f * t * co * ci)
-    if b is not None:
-        out_data = out_data + b.data.reshape(1, co, 1, 1)
+    out_data = out_data + b.data.reshape(1, co, 1, 1)
 
     def bw(g):
         gm = g.reshape(n, co, f * t)
         _accum(x, np.matmul(w.data.T, gm).reshape(n, ci, f, t))
         _accum(w, np.tensordot(gm, xm, axes=([0, 2], [0, 2])))
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data, parents, bw)
+    return _make(out_data, (x, w, b), bw)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1)) -> Tensor:
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1)) -> Tensor:
     """Per-channel k x k convolution: w has shape (c, kf, kt).
 
     The zero-padded input is stored channel-major, so the n planes of one
@@ -115,8 +111,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
         out_cm[c0:c1, s0:s1] = acc[:cb, :m * plane].reshape(
             cb, m, fp, tp)[:, :, :rf:sf, :rt:st]
     _tally_macs(n * of * ot * c * kf * kt)
-    if b is not None:
-        out_data += b.data.reshape(1, c, 1, 1)
+    out_data += b.data.reshape(1, c, 1, 1)
 
     def bw(g):
         # g scattered onto the stride-1 grid: the zeros around its entries
@@ -145,16 +140,13 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride=(1, 1
                 cb, m, fp, tp)[:, :, pf0:pf0 + f, pt0:pt0 + t]
         _accum(x, dx)
         _accum(w, dw)
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data, parents, bw)
+    return _make(out_data, (x, w, b), bw)
 
 
 def bsconv_forward(x: Tensor, pw_weight: Tensor, dw_weight: Tensor,
-                   pw_bias: Tensor | None = None, dw_bias: Tensor | None = None,
-                   stride=(1, 1)) -> Tensor:
+                   pw_bias: Tensor, dw_bias: Tensor, stride=(1, 1)) -> Tensor:
     """Blueprint separable convolution: 1x1 point-wise, then k x k depth-wise."""
     if pw_weight.data.shape[0] != dw_weight.data.shape[0]:
         raise ConfigError(
@@ -213,38 +205,37 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(x, out_data * (g - dot))
 
     return _make(out_data, (x,), bw)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    m = x.data.max(axis=-1, keepdims=True)
     shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 
     def bw(g):
-        _accum(x, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _make(out_data, (x,), bw)
 
 
-def fc_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def fc_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map on the last axis: w has shape (d_in, d_out)."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ConfigError(f"fc expects {w.data.shape[0]} inputs, got {x.data.shape[-1]}")
-    out = matmul(x, w)
-    if b is not None:
-        out = out + b
-    return out
+    return matmul(x, w) + b
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -252,18 +243,17 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return tmean(x, axis=(2, 3))
 
 
-def normalize(x: Tensor, axes, gamma: Tensor | None = None,
-              beta: Tensor | None = None, rho: Tensor | None = None):
+def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor,
+              rho: Tensor | None = None):
     """``gamma * (rho * x + (1 - rho) * xhat) + beta`` as one graph node.
 
     ``xhat`` is ``x`` standardized over ``axes`` with the biased variance and
-    ``EPS``; without ``rho`` the blend is skipped, and without ``gamma`` /
-    ``beta`` the affine is. ``gamma`` and ``beta`` must broadcast against
-    ``x``; ``rho`` is a scalar. Returns ``(out, mean, var)``: the batch mean
-    and biased variance (keepdims arrays) let batch norm update its running
-    statistics without computing them again. The backward is the closed
-    form of Ioffe & Szegedy 2015 (arXiv:1502.03167), extended by the ``rho``
-    blend.
+    ``EPS``; without ``rho`` (batch and layer norm) the blend is skipped.
+    ``gamma`` and ``beta`` must broadcast against ``x``; ``rho`` is a scalar.
+    Returns ``(out, mean, var)``: the batch mean and biased variance
+    (keepdims arrays) let batch norm update its running statistics without
+    computing them again. The backward is the closed form of Ioffe &
+    Szegedy 2015 (arXiv:1502.03167), extended by the ``rho`` blend.
     """
     axes = _norm_axes(axes, x.data.ndim)
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -281,10 +271,8 @@ def normalize(x: Tensor, axes, gamma: Tensor | None = None,
         # peak memory of teacher inference
         for o, xi in zip(out_data, x.data):
             o += xi * rho.data
-    if gamma is not None:
-        out_data = np.multiply(out_data, gamma.data, out=buf)
-    if beta is not None:
-        out_data = np.add(out_data, beta.data, out=buf)
+    out_data = np.multiply(out_data, gamma.data, out=buf)
+    out_data = np.add(out_data, beta.data, out=buf)
 
     def bw(g):
         # dx = k * (gh - mean(gh) - xhat * mean(gh * xhat)) + rho * gh, with
@@ -292,11 +280,11 @@ def normalize(x: Tensor, axes, gamma: Tensor | None = None,
         # axes along which gamma and beta are constant come first, so little
         # work is done at full size.
         affine = [(1,) * (x.data.ndim - p.data.ndim) + p.data.shape
-                  for p in (gamma, beta) if p is not None]
+                  for p in (gamma, beta)]
         inner = tuple(i for i in axes if all(s[i] == 1 for s in affine))
         outer = tuple(i for i in axes if i not in inner)
         count = int(np.prod([x.data.shape[i] for i in axes]))
-        gam = 1.0 if gamma is None else gamma.data
+        gam = gamma.data
         k = rstd if rho is None else rstd * (1.0 - rho.data)
         g_in = g.sum(axis=inner, keepdims=True)
         tmp = np.multiply(g, xhat)
@@ -314,12 +302,10 @@ def normalize(x: Tensor, axes, gamma: Tensor | None = None,
             _accum(rho, np.asarray(drho, dtype=rho.data.dtype))
             h_in = rho.data * gx_in + (1.0 - rho.data) * gxhat_in
         _accum(x, dx)
-        if gamma is not None:
-            _accum(gamma, _unbroadcast(h_in, gamma.data.shape))
-        if beta is not None:
-            _accum(beta, _unbroadcast(g_in, beta.data.shape))
+        _accum(gamma, _unbroadcast(h_in, gamma.data.shape))
+        _accum(beta, _unbroadcast(g_in, beta.data.shape))
 
-    parents = tuple(t for t in (x, gamma, beta, rho) if t is not None)
+    parents = (x, gamma, beta) if rho is None else (x, gamma, beta, rho)
     return _make(out_data, parents, bw), mean, var
 
 
@@ -329,11 +315,12 @@ def _channel_view(t: Tensor) -> Tensor:
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_stats,
-                       training: bool, momentum: float = 0.1) -> Tensor:
+                       training: bool) -> Tensor:
     """Per-channel normalization over (n, f, t).
 
-    ``running_stats`` is a dict with mutable "mean"/"var" arrays, updated in
-    place during training and used verbatim at inference, where the layer is
+    ``running_stats`` is a dict with mutable "mean"/"var" arrays, moved
+    ``BN_MOMENTUM`` of the way to the batch statistics in place during
+    training and used verbatim at inference, where the layer is
     the affine map ``x * scale + shift`` and records no graph: gradients
     never flow through inference batch norm.
     """
@@ -345,8 +332,8 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_stats,
                                  _channel_view(beta))
         m = running_stats["mean"]
         v = running_stats["var"]
-        m += momentum * (mu.reshape(c).astype(m.dtype) - m)
-        v += momentum * (var.reshape(c).astype(v.dtype) - v)
+        m += BN_MOMENTUM * (mu.reshape(c).astype(m.dtype) - m)
+        v += BN_MOMENTUM * (var.reshape(c).astype(v.dtype) - v)
         return out
     dtype = x.data.dtype
     rm = running_stats["mean"].astype(dtype)
@@ -384,8 +371,13 @@ def grn_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def fin_forward(x: Tensor) -> Tensor:
-    """Instance normalization retaining (n, f): stats over (c, t) per (n, f)."""
-    return normalize(x, (1, 3))[0]
+    """Instance normalization retaining (n, f): stats over (c, t) per (n, f).
+
+    This is ``normalize`` with a unit scalar affine (gamma 1, beta 0).
+    """
+    dtype = x.data.dtype
+    one, zero = Tensor(np.ones((), dtype)), Tensor(np.zeros((), dtype))
+    return normalize(x, (1, 3), one, zero)[0]
 
 
 def arn_forward(x: Tensor, rho: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -395,7 +387,8 @@ def arn_forward(x: Tensor, rho: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                heads: int, bq=None, bk=None, bv=None, bo=None) -> Tensor:
+                heads: int, bq: Tensor, bk: Tensor, bv: Tensor,
+                bo: Tensor) -> Tensor:
     """Scaled dot-product self-attention over the token axis.
 
     x: (n, tokens, d); projection weights are (d, d).
@@ -412,7 +405,7 @@ def mha_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     k = split(fc_forward(x, wk, bk))
     v = split(fc_forward(x, wv, bv))
     att = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    att = softmax(att, axis=-1)
+    att = softmax(att)
     ctx = matmul(att, v)                                    # (n, h, L, dh)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (n, L, d))
     return fc_forward(merged, wo, bo)
@@ -422,26 +415,23 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy; targets are one-hot (or soft) rows."""
     if logits.data.shape != targets.shape:
         raise UsageError(f"logits {logits.data.shape} vs targets {targets.shape}")
-    ls = log_softmax(logits, axis=-1)
+    ls = log_softmax(logits)
     per_row = tsum(mul(ls, Tensor(targets.astype(logits.data.dtype))), axis=-1)
     return -tmean(per_row)
 
 
 def kl_from_teacher(teacher_probs: np.ndarray, student_logits: Tensor) -> Tensor:
-    """Mean KL(teacher || student) with the teacher fixed."""
-    ls = log_softmax(student_logits, axis=-1)
+    """Mean KL(teacher || student) with the teacher fixed: the cross-entropy
+    to the teacher's probabilities plus their negative entropy, a constant."""
     p = teacher_probs.astype(student_logits.data.dtype)
     const = float((p * np.log(np.maximum(p, 1e-30))).sum(axis=-1).mean())
-    cross = tmean(tsum(mul(ls, Tensor(p)), axis=-1))
-    return const - cross
+    return cross_entropy(student_logits, p) + const
 
 
 __all__ = [
-    "EPS", "arn_forward", "batch_norm_forward",
-    "bsconv_forward", "channel_shuffle", "concat", "cross_entropy",
-    "depthwise_conv2d", "fc_forward", "fin_forward", "global_avg_pool",
-    "grn_forward", "kl_from_teacher", "layer_norm_forward",
-    "log_softmax", "matmul", "maxpool2d", "mha_forward", "mul", "normalize",
-    "pointwise_conv2d", "relu", "reshape", "softmax", "sqrt", "tmean",
-    "transpose", "tsum",
+    "BN_MOMENTUM", "EPS", "arn_forward", "batch_norm_forward",
+    "bsconv_forward", "channel_shuffle", "cross_entropy", "depthwise_conv2d",
+    "fc_forward", "fin_forward", "global_avg_pool", "grn_forward",
+    "kl_from_teacher", "layer_norm_forward", "log_softmax", "maxpool2d",
+    "mha_forward", "normalize", "pointwise_conv2d", "softmax",
 ]

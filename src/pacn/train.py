@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import evalstats, ops
 from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
                     stft_magnitude)
 from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
@@ -162,10 +162,12 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, peak_lr: float) -> flo
 class Adam:
     """Bias-corrected Adam over a layer-path -> Tensor parameter map."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
@@ -275,7 +277,7 @@ def estimate_dataset_correction(clips) -> SpectrumCorrection:
     """Per-device correction from mean clip magnitude spectra."""
     by_device: dict[str, list] = {}
     for clip in clips:
-        mean_mag = stft_magnitude(frame_and_window(clip)).mean(axis=0)
+        mean_mag = stft_magnitude(frame_and_window(clip.samples)).mean(axis=0)
         by_device.setdefault(clip.device_id, []).append(mean_mag)
     return estimate_correction({d: np.stack(s) for d, s in by_device.items()})
 
@@ -336,9 +338,9 @@ def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
 
 
 def accuracy(model: PacnModel, ds: Dataset) -> float:
-    from .evalstats import predict
-
-    return float(np.mean(predict(model, ds.features) == ds.labels))
+    # looked up on the module at call time, so a wrapper installed on
+    # evalstats.predict sees the validation forwards
+    return float(np.mean(evalstats.predict(model, ds.features) == ds.labels))
 
 
 def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
@@ -466,14 +468,13 @@ def train_student_kd(model_cfg: PacnConfig, teacher: PacnModel | None,
 def mean_teacher_kl(teacher: PacnModel, student: PacnModel,
                     features: np.ndarray) -> float:
     """Mean KL(teacher || student) over clips, temperature 1, float64."""
-    from .evalstats import EVAL_BATCH
-
     total = 0.0
     n = len(features)
     if n == 0:
         raise UsageError("empty feature set")
-    for start in range(0, n, EVAL_BATCH):
-        x = features_to_input(features[start:start + EVAL_BATCH])
+    batch = evalstats.EVAL_BATCH
+    for start in range(0, n, batch):
+        x = features_to_input(features[start:start + batch])
         zt = teacher(x, training=False).data.astype(np.float64)
         zs = student(x, training=False).data.astype(np.float64)
         pt = _softmax_np(zt)

@@ -17,7 +17,7 @@ from pacn import ops
 from pacn.audio import AudioClip, delta_coefficients, extract_feature
 from pacn.gradcheck import check_gradients
 from pacn.model import PacnConfig, PacnModel
-from pacn.profiler import count_macs, count_params, verify_against_runtime
+from pacn.profiler import profile, verify_against_runtime
 from pacn.tensor import Tensor, matmul, relu, tmean
 from pacn.train import (TrainConfig, kd_loss, load_dataset, lr_at,
                         mean_teacher_kl, split_train_val, train_student_kd,
@@ -166,8 +166,8 @@ class TestKdEndpoints:
 class TestComplexityBudget:
     def test_criterion_complexity_budget(self):
         student = PacnConfig()
-        pn = count_params(student)
-        macs = count_macs(student)
+        report = profile(student)
+        pn, macs = report.total_params, report.total_macs
         assert 4700 <= pn <= 5700
         assert 1.2e6 <= macs <= 1.7e6
 
@@ -177,8 +177,9 @@ class TestComplexityBudget:
             assert check.matched, (mode, check)
 
         serial = PacnConfig(wiring_mode="serial")
-        assert count_params(serial) >= pn
-        assert count_macs(serial) >= macs
+        serial_report = profile(serial)
+        assert serial_report.total_params >= pn
+        assert serial_report.total_macs >= macs
         ok("complexity budget")
 
 

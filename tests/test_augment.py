@@ -9,6 +9,7 @@ from pacn import augment
 from pacn.audio import AudioClip
 from pacn.errors import UsageError
 from pacn.seeding import PURPOSE_AUGMENT, derive_rng, stable_hash
+from pacn.train import TrainConfig
 
 
 def tone(freq, amp=0.5):
@@ -39,8 +40,9 @@ class TestMixup:
         assert y.tolist() == [0.5, 0.5]
 
     def test_draw_is_reproducible(self):
-        a = augment.draw_mixup(16, np.random.default_rng(9))
-        b = augment.draw_mixup(16, np.random.default_rng(9))
+        alpha = TrainConfig().mixup_alpha
+        a = augment.draw_mixup(16, np.random.default_rng(9), alpha)
+        b = augment.draw_mixup(16, np.random.default_rng(9), alpha)
         assert a.eta == b.eta
         assert 0.0 <= a.eta <= 1.0
         np.testing.assert_array_equal(a.pair_index, b.pair_index)

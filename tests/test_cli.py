@@ -298,6 +298,28 @@ class TestSignificance:
         texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b<c" in texts
 
+    @pytest.mark.parametrize("char", ["\x01", "\x0b", "\x1f", "\ufffe", "\uffff"])
+    def test_method_name_xml_cannot_hold_fails_with_line(self, tmp_path, capsys,
+                                                         char):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"method,subset_1\nours,0.9\na{char}b,0.7\n",
+                        encoding="utf-8")
+        err = fails_cleanly(capsys, "significance", "--scores", path)
+        assert f"{path}:3" in err
+        assert not (tmp_path / "bad_ranks.svg").exists()
+
+    def test_method_name_with_tab_kept_verbatim(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("method,subset_1\n\"a\tb\u00e9\",0.9\nbase,0.7\n",
+                        encoding="utf-8")
+        assert run("significance", "--scores", path) == 0
+        with open(tmp_path / "scores_ranks.csv", newline="", encoding="utf-8") as fh:
+            names = [row[0] for row in csv.reader(fh)][1:]
+        assert names == ["a\tb\u00e9", "base"]
+        svg = ET.parse(tmp_path / "scores_ranks.svg")
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a\tb\u00e9" in texts
+
 
 class TestAugmentPreview:
     def test_writes_triplets(self, work, tmp_path):

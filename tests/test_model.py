@@ -270,7 +270,7 @@ class TestBranches:
         for i in range(2):
             x = model._bsconv(x, f"lci.{i}")
             x = model._bn(x, f"lci.{i}.bn", training=False)
-            x = ops.relu(x)
+            x = relu(x)
         without = ops.global_avg_pool(x).data
         np.testing.assert_array_equal(with_grn, without)
 

@@ -161,6 +161,10 @@ def argmax_maxpool(x, window, g):
     return out, dx
 
 
+def zero_bias(c, dtype=np.float64):
+    return Tensor(np.zeros(c, dtype=dtype))
+
+
 def run_with_grad(op, arrays, g):
     """Forward ``op`` on leaf tensors, back-propagate ``g``, return out, grads."""
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -180,7 +184,7 @@ class TestConvolutions:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 7, 6))
         w = rng.standard_normal((3, 3, 3))
-        out = depthwise_conv2d(Tensor(x), Tensor(w), stride=stride)
+        out = depthwise_conv2d(Tensor(x), Tensor(w), zero_bias(3), stride=stride)
         np.testing.assert_allclose(out.data, naive_depthwise(x, w, stride),
                                    rtol=1e-10, atol=1e-12)
 
@@ -189,13 +193,13 @@ class TestConvolutions:
         x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
         w = np.zeros((2, 3, 3), dtype=np.float32)
         w[:, 1, 1] = 1.0
-        out = depthwise_conv2d(Tensor(x), Tensor(w))
+        out = depthwise_conv2d(Tensor(x), Tensor(w), zero_bias(2, np.float32))
         np.testing.assert_array_equal(out.data, x)
 
     def test_averaging_kernel_on_constant_input(self):
         x = np.full((1, 1, 6, 6), 3.0)
         w = np.full((1, 3, 3), 1.0 / 9.0)
-        out = depthwise_conv2d(Tensor(x), Tensor(w)).data
+        out = depthwise_conv2d(Tensor(x), Tensor(w), zero_bias(1)).data
         # interior sees all nine taps; borders lose mass to the zero padding
         np.testing.assert_allclose(out[0, 0, 1:-1, 1:-1], 3.0, rtol=1e-12)
         np.testing.assert_allclose(out[0, 0, 0, 0], 3.0 * 4 / 9, rtol=1e-12)
@@ -203,19 +207,20 @@ class TestConvolutions:
     def test_empty_batch(self):
         x = Tensor(np.zeros((0, 3, 8, 8), dtype=np.float32))
         w = Tensor(np.zeros((3, 3, 3), dtype=np.float32))
-        assert depthwise_conv2d(x, w).shape == (0, 3, 8, 8)
+        assert depthwise_conv2d(x, w, zero_bias(3, np.float32)).shape == (0, 3, 8, 8)
 
     def test_same_geometry_output_shape(self):
         x = Tensor(np.zeros((1, 1, 65, 9), dtype=np.float32))
         w = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
-        assert depthwise_conv2d(x, w, stride=(2, 2)).shape == (1, 1, 33, 5)
-        assert depthwise_conv2d(x, w, stride=(4, 2)).shape == (1, 1, 17, 5)
+        b = zero_bias(1, np.float32)
+        assert depthwise_conv2d(x, w, b, stride=(2, 2)).shape == (1, 1, 33, 5)
+        assert depthwise_conv2d(x, w, b, stride=(4, 2)).shape == (1, 1, 17, 5)
 
     def test_pointwise_is_channel_matmul(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 4, 3, 5))
         w = rng.standard_normal((6, 4))
-        out = pointwise_conv2d(Tensor(x), Tensor(w)).data
+        out = pointwise_conv2d(Tensor(x), Tensor(w), zero_bias(6)).data
         ref = np.einsum("oc,ncft->noft", w, x)
         np.testing.assert_allclose(out, ref, rtol=1e-10)
 
@@ -224,7 +229,8 @@ class TestConvolutions:
         pw = Tensor(np.zeros((8, 2), dtype=np.float32))
         dw = Tensor(np.zeros((7, 3, 3), dtype=np.float32))
         with pytest.raises(ConfigError):
-            bsconv_forward(x, pw, dw)
+            bsconv_forward(x, pw, dw, zero_bias(8, np.float32),
+                           zero_bias(7, np.float32))
 
     def test_conv_gradients(self):
         def build(rng):
@@ -467,12 +473,14 @@ class TestNormalizations:
         gamma = Tensor(np.ones(3))
         beta = Tensor(np.zeros(3))
         stats = {"mean": np.zeros(3), "var": np.ones(3)}
-        out = batch_norm_forward(Tensor(x), gamma, beta, stats, training=True,
-                                 momentum=1.0)
+        # each call moves the running stats BN_MOMENTUM of the way to the
+        # batch stats; after 300 calls on one batch the gap is 0.9**300
+        for _ in range(300):
+            out = batch_norm_forward(Tensor(x), gamma, beta, stats, training=True)
         assert np.abs(out.data.mean(axis=(0, 2, 3))).max() < 1e-12
         np.testing.assert_allclose(stats["mean"], x.mean(axis=(0, 2, 3)), rtol=1e-10)
-        # with momentum 1.0 the running stats equal the batch stats, so eval
-        # mode must reproduce the training output
+        # the running stats now equal the batch stats, so eval mode must
+        # reproduce the training output
         out_eval = batch_norm_forward(Tensor(x), gamma, beta, stats, training=False)
         np.testing.assert_allclose(out_eval.data, out.data, atol=1e-10)
 
@@ -618,8 +626,9 @@ class TestNormalizeOp:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((16, 4, 64, 33)).astype(np.float32)
         rho = np.float32(0.3)
-        out = normalize(Tensor(x), (1, 3), rho=Tensor(rho))[0].data
-        xhat = normalize(Tensor(x), (1, 3))[0].data
+        one, zero = Tensor(np.float32(1.0)), Tensor(np.float32(0.0))
+        out = normalize(Tensor(x), (1, 3), one, zero, rho=Tensor(rho))[0].data
+        xhat = normalize(Tensor(x), (1, 3), one, zero)[0].data
         expected = xhat * (1 - rho) + x * rho
         assert out.dtype == expected.dtype == np.float32
         assert out.tobytes() == expected.tobytes()
@@ -634,15 +643,18 @@ class TestAttention:
         wk = Tensor(rng.standard_normal((d, d)) * 0.2)
         wv = Tensor(rng.standard_normal((d, d)) * 0.2)
         wo = Tensor(np.eye(d))
-        out = mha_forward(Tensor(x), wq, wk, wv, wo, heads=2).data
+        b = zero_bias(d)
+        out = mha_forward(Tensor(x), wq, wk, wv, wo, heads=2,
+                          bq=b, bk=b, bv=b, bo=b).data
         ref = np.repeat((x @ wv.data).mean(axis=1, keepdims=True), L, axis=1)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
     def test_rejects_indivisible_heads(self):
         x = Tensor(np.zeros((1, 3, 6), dtype=np.float32))
         w = Tensor(np.zeros((6, 6), dtype=np.float32))
+        b = zero_bias(6, np.float32)
         with pytest.raises(ConfigError):
-            mha_forward(x, w, w, w, w, heads=4)
+            mha_forward(x, w, w, w, w, heads=4, bq=b, bk=b, bv=b, bo=b)
 
     def test_mha_gradients(self):
         def build(rng):
@@ -696,22 +708,23 @@ class TestMultiplyTallies:
         x = Tensor(np.zeros((1, 2, 8, 5), dtype=np.float32))
         w = Tensor(np.zeros((3, 2), dtype=np.float32))
         with count_multiplies() as tally:
-            pointwise_conv2d(x, w)
+            pointwise_conv2d(x, w, zero_bias(3, np.float32))
         assert tally[0] == 8 * 5 * 3 * 2
 
     def test_depthwise_conv_tally_uses_output_extent(self):
         x = Tensor(np.zeros((1, 2, 9, 5), dtype=np.float32))
         w = Tensor(np.zeros((2, 3, 3), dtype=np.float32))
         with count_multiplies() as tally:
-            depthwise_conv2d(x, w, stride=(2, 2))
+            depthwise_conv2d(x, w, zero_bias(2, np.float32), stride=(2, 2))
         assert tally[0] == 5 * 3 * 2 * 9
 
     def test_attention_tally_formula(self):
         n, L, d, h = 2, 6, 8, 2
         x = Tensor(np.zeros((n, L, d), dtype=np.float32))
         w = [Tensor(np.zeros((d, d), dtype=np.float32)) for _ in range(4)]
+        b = zero_bias(d, np.float32)
         with count_multiplies() as tally:
-            mha_forward(x, *w, heads=h)
+            mha_forward(x, *w, heads=h, bq=b, bk=b, bv=b, bo=b)
         assert tally[0] == n * (4 * L * d * d + 2 * L * L * d)
 
     def test_normalizations_tally_nothing(self):

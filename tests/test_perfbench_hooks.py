@@ -7,6 +7,7 @@ of every workload pass the benchmark's own correctness checks.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,25 @@ from workloads import packaged_config  # noqa: E402
 
 PATCHED = (pacn.audio, pacn.evalstats, pacn.model, pacn.ops, pacn.tensor,
            pacn.train, pacn.model.PacnModel, pacn.train.Adam)
+
+
+def test_every_exported_op_is_wrapped():
+    # the tracer wraps only functions defined in pacn.ops, so a re-exported
+    # name would be listed as an op and never timed
+    ops = [getattr(pacn.ops, n) for n in pacn.ops.__all__]
+    assert [f for f in ops if callable(f) and f.__module__ != "pacn.ops"] == []
+
+
+def test_pacn_imports_leave_scipy_stats_unloaded():
+    # every benchmark run imports these; scipy.stats would add about 49 MiB
+    # of resident memory. A subprocess, since this session has loaded it.
+    code = ("import sys, pacn.cli, pacn.train, pacn.evalstats; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name", ["student", "teacher"])

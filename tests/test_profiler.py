@@ -81,7 +81,7 @@ class TestCrossRoutes:
     @pytest.mark.parametrize("mode", ["parallel", "serial", "no_fusion"])
     def test_params_match_built_model(self, mode):
         cfg = PacnConfig(wiring_mode=mode)
-        assert profiler.count_params(cfg) == PacnModel(cfg, seed=0).num_params()
+        assert profiler.profile(cfg).total_params == PacnModel(cfg, seed=0).num_params()
 
     @pytest.mark.parametrize("mode", ["parallel", "serial", "no_fusion"])
     def test_runtime_tally_matches_kernel_macs(self, mode):
@@ -94,7 +94,7 @@ class TestCrossRoutes:
         assert check.matched
 
     def test_tiny_config_stays_tiny(self):
-        assert profiler.count_params(PacnConfig(**TINY)) <= 200
+        assert profiler.profile(PacnConfig(**TINY)).total_params <= 200
 
 
 class TestReportOutput:

@@ -156,7 +156,7 @@ class TestSeparability:
         mean_by_dev = {}
         for r in rows:
             clip = read_wav(tmp_path / r.filename)
-            mag = stft_magnitude(frame_and_window(clip)).mean(axis=0)
+            mag = stft_magnitude(frame_and_window(clip.samples)).mean(axis=0)
             mean_by_dev.setdefault(r.device_id, []).append(mag)
         a = np.mean(mean_by_dev["a"], axis=0)
         c = np.mean(mean_by_dev["c"], axis=0)
