@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import logging
 import os
 import re
@@ -21,7 +22,7 @@ import numpy as np
 
 from .audio import read_wav, write_wav
 from .augment import augment_clip, pitch_shift
-from .errors import IngestionError, PacnError, UsageError
+from .errors import IngestionError, PacnError, UsageError, read_text
 from .evalstats import (draw_subsets, evaluate, format_eval_text, rank_report,
                         subset_accuracy_row, write_eval_csv, write_rank_csv,
                         write_rank_svg)
@@ -154,29 +155,28 @@ _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 def _read_scores_csv(path):
     names, rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "method":
-                continue
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from exc
-            if not values:
-                raise IngestionError(f"{path}:{lineno}: no scores in row")
-            if not np.isfinite(values).all():
-                raise IngestionError(f"{path}:{lineno}: non-finite score")
-            if _NOT_XML.search(row[0]):
-                raise IngestionError(f"{path}:{lineno}: method name {row[0]!r} "
-                                     "holds a character XML cannot represent")
-            if rows and len(values) != len(rows[0]):
-                raise IngestionError(f"{path}:{lineno}: expected "
-                                     f"{len(rows[0])} scores, got {len(values)}")
-            names.append(row[0])
-            rows.append(values)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    for record, row in enumerate(reader):
+        # the physical line the record ends on, past any quoted newline
+        lineno = reader.line_num
+        if not row or (record == 0 and row[0] == "method"):
+            continue
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: {exc}") from exc
+        if not values:
+            raise IngestionError(f"{path}:{lineno}: no scores in row")
+        if not np.isfinite(values).all():
+            raise IngestionError(f"{path}:{lineno}: non-finite score")
+        if _NOT_XML.search(row[0]):
+            raise IngestionError(f"{path}:{lineno}: method name {row[0]!r} "
+                                 "holds a character XML cannot represent")
+        if rows and len(values) != len(rows[0]):
+            raise IngestionError(f"{path}:{lineno}: expected "
+                                 f"{len(rows[0])} scores, got {len(values)}")
+        names.append(row[0])
+        rows.append(values)
     if len(rows) < 2:
         raise UsageError(f"{path}: need at least 2 method rows, got {len(rows)}")
     return np.array(rows), names

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON config loader and
-field check that raise them."""
+"""Exception types shared across the package, and the text reader, JSON
+config loader and field check that raise them."""
 
 import dataclasses
 import json
@@ -24,6 +24,18 @@ class IngestionError(PacnError):
 
 class TrainingError(PacnError):
     """Training hit a non-recoverable numerical condition."""
+
+
+def read_text(path, error=IngestionError) -> str:
+    """The whole file at ``path`` decoded as UTF-8; a bad byte raises
+    ``error`` naming its offset in the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: "
+                    f"{exc.reason})") from None
 
 
 def _is_number(value) -> bool:
@@ -106,11 +118,4 @@ class JsonConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
-                              f"{exc.reason})") from None
-        return cls.from_json(text)
+        return cls.from_json(read_text(path, ConfigError))

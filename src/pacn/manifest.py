@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
-from .errors import IngestionError
+from .errors import IngestionError, read_text
 
 SCENE_LABELS = (
     "airport",
@@ -36,12 +37,8 @@ class ManifestRow:
 
 
 def parse_manifest(path) -> list[ManifestRow]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text (byte {exc.start}: "
-                             f"{exc.reason})") from None
+    # universal newlines: "\r\n" and "\r" end a line as "\n" does
+    lines = io.StringIO(read_text(path), newline=None).readlines()
     header = lines[0].rstrip("\n") if lines else ""
     if tuple(header.split("\t")) != COLUMNS:
         raise IngestionError(f"{path}:1: expected header "

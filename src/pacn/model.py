@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .audio import N_FRAMES, N_MELS
 from .errors import ConfigError, IngestionError, JsonConfig, check_field_types
 from .seeding import PURPOSE_INIT, derive_rng
 from .tensor import (Tensor, concat, no_grad, relu, reshape, tmean,
@@ -28,9 +29,6 @@ CHECKPOINT_MAGIC = b"PACNCKPT"
 CHECKPOINT_VERSION = 1
 
 WIRING_MODES = ("parallel", "serial", "no_fusion")
-# bytes of the widest pre-stage map an inference row block may hold: one
-# core's L2 cache, so each block's maps stay cached from layer to layer
-_PRE_BLOCK_BYTES = 2 << 20
 
 
 def _positive_ints(values) -> bool:
@@ -67,6 +65,12 @@ class PacnConfig(JsonConfig):
         if len(self.pre_pools) != len(self.pre_channels):
             raise ConfigError(f"{len(self.pre_channels)} pre stages but "
                               f"{len(self.pre_pools)} pool windows")
+        f, t = N_MELS, N_FRAMES
+        for pf, pt in self.pre_pools:
+            f, t = f // pf, t // pt
+        if f < 1 or t < 1:
+            raise ConfigError(f"pre_pools leave a {f} x {t} map of the "
+                              f"{N_MELS} x {N_FRAMES} feature")
         for name in ("gci_embed_dim", "gci_heads", "gci_mlp_hidden",
                      "shuffle_groups", "num_classes", "in_channels"):
             if getattr(self, name) < 1:
@@ -131,20 +135,18 @@ class PacnModel:
                     std=np.sqrt(2.0 / 9.0))
         self._param(f"{path}.dw.bias", (c_out,), value=0.0)
 
-    def _bn_block(self, path: str, c: int):
+    def _affine(self, path: str, c: int):
         self._param(f"{path}.gamma", (c,), value=1.0)
         self._param(f"{path}.beta", (c,), value=0.0)
+
+    def _bn_block(self, path: str, c: int):
+        self._affine(path, c)
         self.state[path] = {"mean": np.zeros(c, dtype=self.dtype),
                             "var": np.ones(c, dtype=self.dtype)}
 
-    def _ln_block(self, path: str, d: int):
-        self._param(f"{path}.gamma", (d,), value=1.0)
-        self._param(f"{path}.beta", (d,), value=0.0)
-
     def _arn_block(self, path: str, c: int):
         self._param(f"{path}.rho", (), value=0.5)
-        self._param(f"{path}.gamma", (c,), value=1.0)
-        self._param(f"{path}.beta", (c,), value=0.0)
+        self._affine(path, c)
 
     def _fc_block(self, path: str, d_in: int, d_out: int, std=None):
         self._param(f"{path}.weight", (d_in, d_out),
@@ -166,12 +168,12 @@ class PacnModel:
 
         d = cfg.gci_embed_dim
         self._fc_block("gci.proj", c_pre, d)
-        self._ln_block("gci.ln1", d)
+        self._affine("gci.ln1", d)
         for name in ("wq", "wk", "wv", "wo"):
             self._param(f"gci.attn.{name}.weight", (d, d),
                         std=np.sqrt(1.0 / d))
             self._param(f"gci.attn.{name}.bias", (d,), value=0.0)
-        self._ln_block("gci.ln2", d)
+        self._affine("gci.ln2", d)
         self._fc_block("gci.mlp.fc1", d, cfg.gci_mlp_hidden)
         self._fc_block("gci.mlp.fc2", cfg.gci_mlp_hidden, d)
         if cfg.wiring_mode == "serial":
@@ -216,7 +218,8 @@ class PacnModel:
                               self.params[f"{path}.bias"])
 
     def _pre_block_rows(self, x: np.ndarray) -> int:
-        """Rows whose widest pre-stage map fits in ``_PRE_BLOCK_BYTES``."""
+        """Rows whose widest pre-stage map fits in ``ops.CACHE_BYTES``, so
+        each block's maps stay cached from layer to layer."""
         cfg = self.config
         f, t = x.shape[2:]
         widest = 1
@@ -224,7 +227,7 @@ class PacnModel:
             widest = max(widest, c * f * t)
             f, t = f // pf, t // pt
         itemsize = np.result_type(x.dtype, self.dtype).itemsize
-        return max(1, _PRE_BLOCK_BYTES // (widest * itemsize))
+        return max(1, ops.CACHE_BYTES // (widest * itemsize))
 
     def preprocess_forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Pre-processing stack; inference runs it in cache-sized row blocks.

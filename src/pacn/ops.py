@@ -28,9 +28,11 @@ from .tensor import (
 
 EPS = 1e-5  # shared epsilon for BN / LN / GRN / FIN
 BN_MOMENTUM = 0.1  # share of the batch statistics in each running-stat update
+# one core's L2 cache: the working set a blocked op keeps cached
+CACHE_BYTES = 2 << 20
 # elements per depth-wise tap block: two float32 blocks and the input they
-# read stay within a 2 MiB L2 cache, and small maps still take few calls
-_DW_BLOCK = 1 << 17
+# read stay within the cache, and small maps still take few calls
+_DW_BLOCK = CACHE_BYTES // 16
 
 
 def _same_pad(dim: int, k: int, stride: int) -> tuple[int, int, int]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import N_FRAMES, N_MELS
 from .model import PacnConfig, PacnModel
 from .tensor import Tensor, count_multiplies
 
@@ -69,7 +70,7 @@ class ProfileReport:
             writer.writerow(["total", "", self.total_params, self.total_macs])
 
 
-def profile(config: PacnConfig, in_shape=(256, 65)) -> ProfileReport:
+def profile(config: PacnConfig, in_shape=(N_MELS, N_FRAMES)) -> ProfileReport:
     config.validate()
     rows = []
 
@@ -135,7 +136,8 @@ class RuntimeCheck:
         return self.runtime_macs == self.kernel_macs
 
 
-def verify_against_runtime(config: PacnConfig, in_shape=(256, 65)) -> RuntimeCheck:
+def verify_against_runtime(config: PacnConfig,
+                           in_shape=(N_MELS, N_FRAMES)) -> RuntimeCheck:
     """Run one instrumented forward pass and compare multiply counts.
 
     The runtime tally sees exactly the conv/FC/attention kernel multiplies

@@ -38,10 +38,6 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
-METRICS_COLUMNS = ("epoch", "lr", "train_loss", "hard_loss", "distill_loss",
-                   "train_acc", "val_acc")
-
-
 # -- configuration -------------------------------------------------------------
 
 
@@ -150,8 +146,6 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, peak_lr: float) -> flo
         raise UsageError(f"step {step} outside [0, {total_steps}]")
     if step <= warmup_steps and warmup_steps > 0:
         return peak_lr * (step / warmup_steps)
-    if total_steps == warmup_steps:
-        return peak_lr
     progress = (step - warmup_steps) / (total_steps - warmup_steps)
     return peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
@@ -312,12 +306,14 @@ class EpochMetrics:
     val_acc: float | None
 
 
+METRICS_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
+
+
 @dataclass
 class TrainResult:
     model: PacnModel
     metrics: list[EpochMetrics]
     train_config: TrainConfig
-    model_config: PacnConfig
 
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -440,8 +436,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
             log.info("epoch %d/%d lr %.3g loss %.4f acc %.3f val %s", epoch,
                      cfg.epochs, em.lr, em.train_loss, em.train_acc,
                      "-" if val_acc is None else f"{val_acc:.3f}")
-    return TrainResult(model=model, metrics=metrics, train_config=cfg,
-                       model_config=model_cfg)
+    return TrainResult(model=model, metrics=metrics, train_config=cfg)
 
 
 def train_teacher(model_cfg: PacnConfig, train_ds: Dataset, cfg: TrainConfig,
@@ -494,18 +489,12 @@ def write_metrics(path, result: TrainResult):
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for m in result.metrics:
-            writer.writerow([
-                m.epoch,
-                repr(float(m.lr)),
-                repr(float(m.train_loss)),
-                repr(float(m.hard_loss)),
-                repr(float(m.distill_loss)),
-                repr(float(m.train_acc)),
-                "" if m.val_acc is None else repr(float(m.val_acc)),
-            ])
+            epoch, *values = dataclasses.astuple(m)
+            writer.writerow([epoch] + ["" if v is None else repr(float(v))
+                                       for v in values])
     meta = {
         "train": dataclasses.asdict(result.train_config),
-        "model": json.loads(result.model_config.to_json()),
+        "model": json.loads(result.model.config.to_json()),
     }
     with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

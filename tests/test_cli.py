@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import xml.etree.ElementTree as ET
@@ -280,6 +281,12 @@ class TestSignificance:
         assert run("significance", "--scores", path) == 1
         assert ":3" in capsys.readouterr().err
 
+    def test_line_number_counts_quoted_newlines(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text('method,subset_1\n"a\nb",0.9\nbase,apple\n')
+        err = fails_cleanly(capsys, "significance", "--scores", path)
+        assert f"{path}:4:" in err
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_fails_with_line(self, tmp_path, capsys, score):
         path = tmp_path / "bad.csv"
@@ -413,6 +420,30 @@ class TestArgHandling:
                             "--config", work / "train.json",
                             "--manifest", bad, "--out", tmp_path / "t.ckpt")
         assert "UTF-8" in err
+
+    def test_non_utf8_scores_fail_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "scores.csv"
+        bad.write_bytes(b"method,subset_1\nours,0.9\nb\xffx,0.7\n")
+        err = fails_cleanly(capsys, "significance", "--scores", bad)
+        assert f"{bad}: not UTF-8 text (byte 26:" in err
+
+    @pytest.mark.parametrize("pools", [[[64, 2], [8, 2]], [[4, 2], [4, 64]]])
+    @pytest.mark.parametrize("command", ["profile", "profile --check",
+                                         "train-teacher"])
+    def test_pools_that_empty_the_feature_fail_cleanly(self, work, tmp_path,
+                                                       capsys, command, pools):
+        bad = tmp_path / "model.json"
+        bad.write_text(dataclasses.replace(
+            pacn.cli._packaged_config("student.json"), pre_pools=pools).to_json())
+        argv = {"profile": ["profile", "--config", bad],
+                "profile --check": ["profile", "--config", bad, "--check"],
+                "train-teacher": ["train-teacher",
+                                  "--config", work / "train.json",
+                                  "--model-config", bad,
+                                  "--manifest", work / "data" / "manifest.tsv",
+                                  "--out", tmp_path / "t.ckpt"]}[command]
+        err = fails_cleanly(capsys, "--quiet", *argv)
+        assert "of the 256 x 65 feature" in err
 
     def test_malformed_manifest_line_number(self, work, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

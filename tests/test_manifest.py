@@ -47,6 +47,14 @@ class TestRoundtrip:
         path.write_text("\t".join(COLUMNS) + "\n")
         assert parse_manifest(path) == []
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path, end):
+        path = tmp_path / "m.tsv"
+        lines = ["\t".join(COLUMNS)] + ["\t".join(vars(r).values())
+                                        for r in make_rows()]
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        assert parse_manifest(path) == make_rows()
+
     @given(tuples=st.lists(
         st.tuples(
             st.text(alphabet=st.characters(blacklist_characters="\t\n\r",
@@ -99,6 +107,15 @@ class TestErrors:
         with pytest.raises(IngestionError, match="UTF-8") as info:
             parse_manifest(path)
         assert str(path) in str(info.value)
+
+    def test_non_utf8_byte_named_by_its_offset_in_the_file(self, tmp_path):
+        # past the first 8 KiB a chunked text decoder counts from its chunk
+        head = ("\t".join(COLUMNS) + "\n"
+                + "a.wav\tbus\ta\tparis\n" * 600).encode()
+        path = tmp_path / "m.tsv"
+        path.write_bytes(head + b"a\xff.wav\tbus\ta\tparis\n")
+        with pytest.raises(IngestionError, match=f"byte {len(head) + 1}:"):
+            parse_manifest(path)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -224,7 +224,7 @@ def test_blocked_inference_matches_one_block_bitwise(name, rows, mode,
         with count_multiplies() as tally:
             blocked[n] = model(Tensor(x[:n])).data.tobytes()
         assert tally[0] == n * one_row[0]
-    monkeypatch.setattr("pacn.model._PRE_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr("pacn.ops.CACHE_BYTES", 1 << 40)
     for n in sizes:
         assert model(Tensor(x[:n])).data.tobytes() == blocked[n]
 
@@ -399,6 +399,14 @@ class TestConfig:
             PacnConfig(lci_channels=[15], shuffle_groups=2).validate()
         with pytest.raises(ConfigError):
             PacnConfig(pre_pools=[[4, 2]]).validate()
+
+    @pytest.mark.parametrize("pools, left", [([[64, 2], [8, 2]], "0 x 16"),
+                                             ([[4, 2], [4, 64]], "16 x 0")])
+    def test_pools_that_empty_the_feature_rejected(self, pools, left):
+        cfg = dataclasses.replace(packaged_config("student"), pre_pools=pools)
+        with pytest.raises(ConfigError,
+                           match=f"leave a {left} map of the 256 x 65 feature"):
+            cfg.validate()
 
     def test_json_roundtrip(self):
         cfg = PacnConfig(wiring_mode="serial")
