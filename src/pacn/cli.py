@@ -42,27 +42,6 @@ def _packaged_config(name: str) -> PacnConfig:
     return PacnConfig.from_json(text)
 
 
-def _prepare_training(args, cfg: TrainConfig):
-    """Load the manifest (minus any excluded device) and split off validation."""
-    ds = load_dataset(args.manifest, args.threads,
-                      fit_correction=cfg.augment.spectrum_correction,
-                      exclude_device=args.exclude_device)
-    train_ds, val_ds = split_train_val(ds, args.val_fraction, cfg.seed)
-    return train_ds, (val_ds if len(val_ds) else None)
-
-
-def _finish_training(args, result):
-    result.model.save(args.out)
-    metrics_path = args.metrics or f"{args.out}.metrics.csv"
-    write_metrics(metrics_path, result)
-    last = result.metrics[-1]
-    final = f"train_acc {last.train_acc:.4f}"
-    if last.val_acc is not None:
-        final += f", val_acc {last.val_acc:.4f}"
-    print(f"saved {args.out} ({result.model.num_params()} params); {final}")
-    return 0
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -77,32 +56,37 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
+def cmd_train(args) -> int:
+    """``train-teacher`` and ``train-student``: train a fresh model on a
+    manifest, minus any excluded device, then save it and its metrics."""
+    role = args.command.removeprefix("train-")
     cfg = TrainConfig.from_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
-
-
-def cmd_train_teacher(args) -> int:
-    cfg = _train_config(args)
     model_cfg = (PacnConfig.from_file(args.model_config)
-                 if args.model_config else _packaged_config("teacher.json"))
-    train_ds, val_ds = _prepare_training(args, cfg)
-    result = train_teacher(model_cfg, train_ds, cfg, val_ds,
-                           train_ds.correction)
-    return _finish_training(args, result)
-
-
-def cmd_train_student(args) -> int:
-    cfg = _train_config(args)
-    model_cfg = (PacnConfig.from_file(args.model_config)
-                 if args.model_config else _packaged_config("student.json"))
-    teacher = PacnModel.load(args.teacher) if args.teacher else None
-    train_ds, val_ds = _prepare_training(args, cfg)
-    result = train_student_kd(model_cfg, teacher, train_ds, cfg, val_ds,
-                              train_ds.correction)
-    return _finish_training(args, result)
+                 if args.model_config else _packaged_config(f"{role}.json"))
+    # a bad teacher checkpoint fails before any WAV is read
+    teacher = (PacnModel.load(args.teacher)
+               if role == "student" and args.teacher else None)
+    ds = load_dataset(args.manifest, args.threads,
+                      fit_correction=cfg.augment.spectrum_correction,
+                      exclude_device=args.exclude_device)
+    train_ds, val_ds = split_train_val(ds, args.val_fraction, cfg.seed)
+    val_ds = val_ds if len(val_ds) else None
+    if role == "teacher":
+        result = train_teacher(model_cfg, train_ds, cfg, val_ds,
+                               train_ds.correction)
+    else:
+        result = train_student_kd(model_cfg, teacher, train_ds, cfg, val_ds,
+                                  train_ds.correction)
+    result.model.save(args.out)
+    write_metrics(args.metrics or f"{args.out}.metrics.csv", result)
+    last = result.metrics[-1]
+    final = f"train_acc {last.train_acc:.4f}"
+    if last.val_acc is not None:
+        final += f", val_acc {last.val_acc:.4f}"
+    print(f"saved {args.out} ({result.model.num_params()} params); {final}")
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -156,10 +140,11 @@ _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 def _read_scores_csv(path):
     names, rows = [], []
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    for record, row in enumerate(reader):
+    # the header, if any, is the first non-empty record
+    for record, row in enumerate(row for row in reader if row):
         # the physical line the record ends on, past any quoted newline
         lineno = reader.line_num
-        if not row or (record == 0 and row[0] == "method"):
+        if record == 0 and row[0] == "method":
             continue
         try:
             values = [float(v) for v in row[1:]]
@@ -253,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth_data)
 
-    for name, handler, needs_teacher in (
-            ("train-teacher", cmd_train_teacher, False),
-            ("train-student", cmd_train_student, True)):
+    for name in ("train-teacher", "train-student"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} on a manifest")
         p.add_argument("--config", required=True, help="TrainConfig JSON path")
         p.add_argument("--model-config", default=None,
@@ -267,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-fraction", type=float, default=0.2)
         p.add_argument("--exclude-device", default=None,
                        help="drop this device's clips from training")
-        if needs_teacher:
+        if name == "train-student":
             p.add_argument("--teacher", default=None,
                            help="teacher checkpoint (required for kd_lambda < 1)")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--ckpt", required=True)

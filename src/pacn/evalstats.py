@@ -36,19 +36,27 @@ Q_ALPHA = {
 EVAL_BATCH = 64
 
 
+def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
+    """Inference-mode logits for a (n, 256, 65, 2) feature stack, forwarded
+    ``EVAL_BATCH`` clips at a time."""
+    if len(features) == 0:
+        raise UsageError("empty feature set")
+    return np.concatenate([
+        model(features_to_input(features[start:start + EVAL_BATCH]),
+              training=False).data
+        for start in range(0, len(features), EVAL_BATCH)])
+
+
 def predict(model: PacnModel, features: np.ndarray) -> np.ndarray:
     """Class predictions for a (n, 256, 65, 2) feature stack.
 
     Ties resolve to the lowest class index (first argmax).
     """
-    if len(features) == 0:
-        raise UsageError("empty feature set")
-    preds = []
-    for start in range(0, len(features), EVAL_BATCH):
-        x = features_to_input(features[start:start + EVAL_BATCH])
-        logits = model(x, training=False).data
-        preds.append(logits.argmax(axis=-1))
-    return np.concatenate(preds).astype(np.int64)
+    return logits(model, features).argmax(axis=-1).astype(np.int64)
+
+
+def _class_name(c: int) -> str:
+    return SCENE_LABELS[c] if c < len(SCENE_LABELS) else str(c)
 
 
 @dataclass
@@ -59,13 +67,11 @@ class EvalResult:
     confusion: np.ndarray               # (C, C) counts, rows = true class
     predictions: np.ndarray             # (n,) predicted class per clip
     unseen_devices: tuple[str, ...] = ()
-    n_clips: int = 0
 
 
 def evaluate(model: PacnModel, dataset, unseen_devices=()) -> EvalResult:
     """Accuracy breakdown for any object with features/labels/devices."""
-    n = len(dataset.labels)
-    if n == 0:
+    if len(dataset.labels) == 0:
         raise UsageError("cannot evaluate an empty dataset")
     labels = np.asarray(dataset.labels)
     num_classes = model.config.num_classes
@@ -82,20 +88,18 @@ def evaluate(model: PacnModel, dataset, unseen_devices=()) -> EvalResult:
         per_device[dev] = float(correct[mask].mean())
     per_class = {}
     for c in np.unique(labels):
-        name = SCENE_LABELS[c] if c < len(SCENE_LABELS) else str(int(c))
-        per_class[name] = float(correct[labels == c].mean())
+        per_class[_class_name(int(c))] = float(correct[labels == c].mean())
 
     return EvalResult(overall_accuracy=float(correct.mean()),
                       per_device_accuracy=per_device,
                       per_class_accuracy=per_class,
                       confusion=confusion,
                       predictions=preds,
-                      unseen_devices=tuple(unseen_devices),
-                      n_clips=n)
+                      unseen_devices=tuple(unseen_devices))
 
 
 def format_eval_text(result: EvalResult) -> str:
-    lines = [f"clips: {result.n_clips}",
+    lines = [f"clips: {len(result.predictions)}",
              f"overall accuracy: {result.overall_accuracy:.4f}"]
     for dev, acc in result.per_device_accuracy.items():
         tag = " (unseen)" if dev in result.unseen_devices else ""
@@ -111,15 +115,14 @@ def write_eval_csv(path, result: EvalResult):
         writer = csv.writer(fh)
         writer.writerow(["section", "key", "value"])
         writer.writerow(["overall", "accuracy", repr(result.overall_accuracy)])
-        writer.writerow(["overall", "clips", result.n_clips])
+        writer.writerow(["overall", "clips", len(result.predictions)])
         for dev, acc in result.per_device_accuracy.items():
             section = "device_unseen" if dev in result.unseen_devices else "device"
             writer.writerow([section, dev, repr(acc)])
         for name, acc in result.per_class_accuracy.items():
             writer.writerow(["class", name, repr(acc)])
         for c, row in enumerate(result.confusion):
-            name = SCENE_LABELS[c] if c < len(SCENE_LABELS) else str(c)
-            writer.writerow(["confusion", name,
+            writer.writerow(["confusion", _class_name(c),
                              " ".join(str(int(v)) for v in row)])
 
 

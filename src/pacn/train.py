@@ -96,12 +96,6 @@ class KdLossParts:
     distill: float
 
 
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def kd_loss(student_logits: Tensor, targets: np.ndarray,
             teacher_logits: np.ndarray | None, lam: float,
             temperature: float) -> KdLossParts:
@@ -121,7 +115,7 @@ def kd_loss(student_logits: Tensor, targets: np.ndarray,
         return KdLossParts(total=hard, hard=float(hard.data), distill=0.0)
     if teacher_logits is None:
         raise UsageError("kd weight < 1 requires teacher logits")
-    probs = _softmax_np(np.asarray(teacher_logits) / temperature)
+    probs = ops.softmax(Tensor(np.asarray(teacher_logits) / temperature)).data
     distill = ops.kl_from_teacher(probs, student_logits / temperature)
     scale = (1.0 - lam) * (temperature * temperature)
     total = distill * scale if lam == 0.0 else hard * lam + distill * scale
@@ -333,12 +327,6 @@ def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
     return np.stack(feats)
 
 
-def accuracy(model: PacnModel, ds: Dataset) -> float:
-    # looked up on the module at call time, so a wrapper installed on
-    # evalstats.predict sees the validation forwards
-    return float(np.mean(evalstats.predict(model, ds.features) == ds.labels))
-
-
 def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
              correction: SpectrumCorrection | None, pools: dict[int, list],
              num_classes: int):
@@ -428,7 +416,10 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
 
             val_acc = None
             if val_ds is not None and len(val_ds) > 0:
-                val_acc = accuracy(model, val_ds)
+                # looked up on the module at call time, so a wrapper
+                # installed on evalstats.predict sees the validation forwards
+                val_acc = float(np.mean(evalstats.predict(model, val_ds.features)
+                                        == val_ds.labels))
             em = EpochMetrics(epoch=epoch, lr=lr, train_loss=loss_sum / n,
                               hard_loss=hard_sum / n, distill_loss=dist_sum / n,
                               train_acc=correct / n, val_acc=val_acc)
@@ -462,22 +453,12 @@ def train_student_kd(model_cfg: PacnConfig, teacher: PacnModel | None,
 
 def mean_teacher_kl(teacher: PacnModel, student: PacnModel,
                     features: np.ndarray) -> float:
-    """Mean KL(teacher || student) over clips, temperature 1, float64."""
-    total = 0.0
-    n = len(features)
-    if n == 0:
-        raise UsageError("empty feature set")
-    batch = evalstats.EVAL_BATCH
-    for start in range(0, n, batch):
-        x = features_to_input(features[start:start + batch])
-        zt = teacher(x, training=False).data.astype(np.float64)
-        zs = student(x, training=False).data.astype(np.float64)
-        pt = _softmax_np(zt)
-        log_pt = np.log(np.maximum(pt, 1e-300))
-        log_ps = zs - zs.max(-1, keepdims=True)
-        log_ps = log_ps - np.log(np.exp(log_ps).sum(-1, keepdims=True))
-        total += float((pt * (log_pt - log_ps)).sum())
-    return total / n
+    """Mean KL(teacher || student) over clips, temperature 1, float64: the
+    distillation term of ``kd_loss``."""
+    zt = evalstats.logits(teacher, features).astype(np.float64)
+    zs = evalstats.logits(student, features).astype(np.float64)
+    return float(ops.kl_from_teacher(ops.softmax(Tensor(zt)).data,
+                                     Tensor(zs)).data)
 
 
 # -- metrics output --------------------------------------------------------------

@@ -128,6 +128,18 @@ class TestTraining:
                    "--out", tmp_path / "s.ckpt") == 1
         assert "teacher" in capsys.readouterr().err
 
+    def test_truncated_teacher_fails_before_reading_wavs(self, work, tmp_path,
+                                                         capsys, monkeypatch):
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((work / "teacher.ckpt").read_bytes()[:14])
+        fails_cleanly(capsys, "--quiet", "train-student",
+                      "--config", work / "kd.json",
+                      "--model-config", work / "model.json",
+                      "--manifest", work / "data" / "manifest.tsv",
+                      "--teacher", cut, "--out", tmp_path / "s.ckpt")
+        assert calls == []
+
     def test_exclude_device_trains(self, work, tmp_path):
         assert run("--quiet", "train-teacher", "--config", work / "train.json",
                    "--model-config", work / "model.json",
@@ -274,6 +286,12 @@ class TestSignificance:
         path.write_text("method,subset_1\nours,0.9\n")
         assert run("significance", "--scores", path) == 1
         assert "2 method" in capsys.readouterr().err
+
+    def test_header_after_blank_line_skipped(self, tmp_path, capsys):
+        path = tmp_path / "lead.csv"
+        path.write_text("\nmethod,s1,s2\nours,0.9,0.8\nbase,0.8,0.7\n")
+        assert run("significance", "--scores", path) == 0
+        assert "(2 methods, 2 subsets)" in capsys.readouterr().out
 
     def test_malformed_scores_fail_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

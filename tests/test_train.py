@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pacn import evalstats
 from pacn.augment import AugmentConfig
 import pacn.train
 from pacn.errors import (ConfigError, IngestionError, PacnError, TrainingError,
@@ -508,3 +509,13 @@ class TestMeanTeacherKl:
         m = PacnModel(tiny_config())
         with pytest.raises(UsageError):
             mean_teacher_kl(m, m, tiny_ds.features[:0])
+
+    def test_is_the_kd_distillation_term(self, tiny_ds):
+        teacher = PacnModel(tiny_config(), seed=5)
+        student = PacnModel(tiny_config(), seed=6)
+        zt = evalstats.logits(teacher, tiny_ds.features).astype(np.float64)
+        zs = evalstats.logits(student, tiny_ds.features).astype(np.float64)
+        y = np.eye(3)[tiny_ds.labels]
+        distill = kd_loss(Tensor(zs), y, zt, 0.0, 1.0).distill
+        assert mean_teacher_kl(teacher, student, tiny_ds.features) \
+            == pytest.approx(distill, rel=0, abs=1e-12)
