@@ -40,26 +40,23 @@ class FeatureClip:
     feature: np.ndarray                     # (256, 65, 2) float32
 
 
-def resample_linear(samples: np.ndarray, ratio: float) -> np.ndarray:
-    """Linear-interpolation resample; output length scales by ``ratio``."""
-    if ratio <= 0:
-        raise UsageError(f"resample ratio must be positive, got {ratio}")
+def to_clip(samples: np.ndarray, ratio: float) -> np.ndarray:
+    """Resample by linear interpolation (length scales by ``ratio``), then
+    center-crop long clips and trailing-zero-pad short ones to one float32
+    clip. Only the kept positions are interpolated, so the work stays within
+    one clip whatever the ratio."""
     n_in = len(samples)
-    n_out = int(round(n_in * ratio))
+    n_out = round(n_in * ratio)
+    start = max(n_out - CLIP_SAMPLES, 0) // 2
+    m = min(n_out, CLIP_SAMPLES)
     if n_out == n_in:
-        return samples.copy()
-    pos = np.arange(n_out, dtype=np.float64) / ratio
-    return np.interp(pos, np.arange(n_in, dtype=np.float64), samples)
-
-
-def to_clip_length(samples: np.ndarray, n: int = CLIP_SAMPLES) -> np.ndarray:
-    """Trailing zero-pad short clips, center-crop long ones."""
-    if len(samples) < n:
-        return np.pad(samples, (0, n - len(samples)))
-    if len(samples) > n:
-        start = (len(samples) - n) // 2
-        return samples[start:start + n]
-    return samples
+        kept = samples[start:start + m]
+    else:
+        pos = (np.arange(m, dtype=np.float64) + float(start)) / ratio
+        kept = np.interp(pos, np.arange(n_in, dtype=np.float64), samples)
+    clip = np.zeros(CLIP_SAMPLES, dtype=np.float32)
+    clip[:m] = kept
+    return clip
 
 
 def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -> AudioClip:
@@ -68,6 +65,8 @@ def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -
         rate, data = scipy.io.wavfile.read(path)
     except Exception as e:
         raise IngestionError(f"cannot read WAV file {path}: {e}") from None
+    if rate == 0:
+        raise IngestionError(f"sample rate 0 in {path}")
     if data.dtype == np.int16:
         x = data / 32768.0
     elif data.dtype == np.int32:
@@ -80,10 +79,8 @@ def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -
         raise IngestionError(f"unsupported sample format {data.dtype} in {path}")
     if x.ndim == 2:
         x = x.mean(axis=1)
-    if rate != SAMPLE_RATE:
-        x = resample_linear(x, SAMPLE_RATE / rate)
     with np.errstate(over="ignore"):        # overflow is rejected below
-        samples = to_clip_length(x).astype(np.float32)
+        samples = to_clip(x, SAMPLE_RATE / rate)
     if not np.isfinite(samples).all():
         raise IngestionError(f"non-finite samples in {path}")
     return AudioClip(samples=samples, scene_label=scene_label,

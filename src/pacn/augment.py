@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import N_BINS, AudioClip, resample_linear, to_clip_length
+from .audio import N_BINS, AudioClip, to_clip
 from .errors import UsageError
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,6 @@ class AugmentConfig:
     audio_mix_prob: float = 0.3
     audio_mix_low: float = 0.4
     audio_mix_high: float = 0.6
-    spectrum_correction: bool = True
 
 
 # -- mixup -------------------------------------------------------------------
@@ -77,6 +76,10 @@ class SpectrumCorrection:
         self._warned: set[str] = set()
 
     def coeff_for(self, device_id: str) -> np.ndarray | None:
+        """The device's coefficients. An audio mix blends two devices, so it
+        and an unseen device (warned once) pass through uncorrected."""
+        if device_id == MIX_DEVICE_ID:
+            return None
         c = self.coeffs.get(device_id)
         if c is None and device_id not in self._warned:
             self._warned.add(device_id)
@@ -111,10 +114,9 @@ def pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
     """Scale all frequencies by ``factor`` via linear resampling."""
     if factor <= 0:
         raise UsageError(f"pitch factor must be positive, got {factor}")
-    shifted = resample_linear(clip.samples.astype(np.float64), 1.0 / factor)
-    samples = to_clip_length(shifted).astype(np.float32)
-    return AudioClip(samples=samples, scene_label=clip.scene_label,
-                     device_id=clip.device_id, city=clip.city)
+    return AudioClip(samples=to_clip(clip.samples, 1.0 / factor),
+                     scene_label=clip.scene_label, device_id=clip.device_id,
+                     city=clip.city)
 
 
 def audio_mix(clip_a: AudioClip, clip_b: AudioClip, w: float) -> AudioClip:

@@ -68,11 +68,9 @@ def cmd_train(args) -> int:
     # a bad teacher checkpoint fails before any WAV is read
     teacher = (PacnModel.load(args.teacher)
                if role == "student" and args.teacher else None)
-    ds = load_dataset(args.manifest, args.threads,
-                      fit_correction=cfg.augment.spectrum_correction,
+    ds = load_dataset(args.manifest, args.threads, fit_correction=True,
                       exclude_device=args.exclude_device)
     train_ds, val_ds = split_train_val(ds, args.val_fraction, cfg.seed)
-    val_ds = val_ds if len(val_ds) else None
     if role == "teacher":
         result = train_teacher(model_cfg, train_ds, cfg, val_ds,
                                train_ds.correction)
@@ -176,8 +174,7 @@ def cmd_significance(args) -> int:
     print(f"friedman statistic: {report.statistic:.6g} "
           f"({len(names)} methods, {report.n_subsets} subsets)")
     print(f"critical distance (alpha={report.alpha:g}): {report.cd:.6g}")
-    order = np.argsort(report.avg_ranks, kind="stable")
-    for i in order:
+    for i in report.order:
         print(f"  {names[i]}: avg rank {report.avg_ranks[i]:.4f}")
     print(f"wrote {prefix}.csv and {prefix}.svg")
     return 0
@@ -304,10 +301,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise UsageError(f"--threads must be positive, got {args.threads}")
         return args.func(args)
-    except PacnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PacnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -208,6 +208,7 @@ class RankReport:
     n_subsets: int
     histogram: np.ndarray               # (methods, ranks) rounded-rank counts
     linked: list[tuple[int, int]]       # index pairs with |avg gap| <= cd
+    order: list[int]                    # best average rank first, ties by name
 
 
 def rank_report(scores: np.ndarray, method_names, alpha: float = 0.05) -> RankReport:
@@ -224,15 +225,14 @@ def rank_report(scores: np.ndarray, method_names, alpha: float = 0.05) -> RankRe
             histogram[i, r - 1] += 1
     linked = [(i, j) for i in range(k) for j in range(i + 1, k)
               if abs(fr.avg_ranks[i] - fr.avg_ranks[j]) <= cd]
+    order = sorted(range(k), key=lambda i: (fr.avg_ranks[i], method_names[i]))
     return RankReport(method_names=list(method_names), avg_ranks=fr.avg_ranks,
                       statistic=fr.statistic, cd=cd, alpha=alpha, n_subsets=n,
-                      histogram=histogram, linked=linked)
+                      histogram=histogram, linked=linked, order=order)
 
 
 def write_rank_csv(path, report: RankReport):
     k = len(report.method_names)
-    order = sorted(range(k), key=lambda i: (report.avg_ranks[i],
-                                            report.method_names[i]))
     linked_names = {i: [] for i in range(k)}
     for i, j in report.linked:
         linked_names[i].append(report.method_names[j])
@@ -242,7 +242,7 @@ def write_rank_csv(path, report: RankReport):
         writer.writerow(["method", "avg_rank", "cd", "alpha", "n_subsets",
                          "friedman_statistic", "linked_with"]
                         + [f"count_rank_{r}" for r in range(1, k + 1)])
-        for i in order:
+        for i in report.order:
             writer.writerow([report.method_names[i],
                              repr(float(report.avg_ranks[i])),
                              repr(float(report.cd)),
@@ -257,9 +257,9 @@ PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
            "#aa3377", "#bbbbbb", "#222255", "#225555", "#553311")
 
 
-def _svg_text(x, y, text, size=11, anchor="start"):
+def _svg_text(x, y, text, anchor="start"):
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="11" '
             f'font-family="sans-serif" text-anchor="{anchor}">{text}</text>')
 
 
@@ -316,8 +316,7 @@ def write_rank_svg(path, report: RankReport):
                  f'stroke="black" stroke-width="3"/>')
     parts.append(_svg_text(ax(1 + report.cd) + 6.0, axis_y + 18.0,
                            f"CD = {report.cd:.3f}"))
-    order = sorted(range(k), key=lambda i: (report.avg_ranks[i],
-                                            report.method_names[i]))
+    order = report.order
     for slot, i in enumerate(order):
         y = axis_y + 30.0 + 16.0 * slot
         x = ax(float(report.avg_ranks[i]))

@@ -148,9 +148,8 @@ class PacnModel:
         self._param(f"{path}.rho", (), value=0.5)
         self._affine(path, c)
 
-    def _fc_block(self, path: str, d_in: int, d_out: int, std=None):
-        self._param(f"{path}.weight", (d_in, d_out),
-                    std=np.sqrt(2.0 / d_in) if std is None else std)
+    def _fc_block(self, path: str, d_in: int, d_out: int):
+        self._param(f"{path}.weight", (d_in, d_out), std=np.sqrt(2.0 / d_in))
         self._param(f"{path}.bias", (d_out,), value=0.0)
 
     def _build(self):
@@ -376,7 +375,16 @@ class PacnModel:
         (version,) = reader.u32s(1, "version")
         if version != CHECKPOINT_VERSION:
             raise IngestionError(f"unsupported checkpoint version {version}")
-        model = cls(PacnConfig.from_json(reader.text("config")))
+        config = PacnConfig.from_json(reader.text("config"))
+        from . import profiler              # profiler imports this module
+        n_params = profiler.profile(config).total_params
+        if 4 * n_params > len(reader.raw) - reader.pos:
+            # checked before the model is built, so a forged config cannot
+            # allocate more memory than the file could fill
+            raise IngestionError(f"checkpoint/config mismatch in {path}: the "
+                                 f"config needs {n_params} parameters, more "
+                                 "than the file holds")
+        model = cls(config)
         expected = dict(model._entries())
         loaded = set()
         while not reader.done():

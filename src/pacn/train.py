@@ -26,8 +26,8 @@ import numpy as np
 from . import evalstats, ops
 from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
                     stft_magnitude)
-from .augment import (MIX_DEVICE_ID, AugmentConfig, SpectrumCorrection,
-                      apply_mixup, augment_clip, draw_mixup, estimate_correction)
+from .augment import (AugmentConfig, SpectrumCorrection, apply_mixup,
+                      augment_clip, draw_mixup, estimate_correction)
 from .errors import (ConfigError, JsonConfig, TrainingError,
                      UsageError, check_field_types)
 from .manifest import parse_manifest
@@ -210,11 +210,9 @@ class Dataset:
 
 def _clip_feature(clip: AudioClip,
                   correction: SpectrumCorrection | None) -> np.ndarray:
-    """One clip's feature, device-corrected unless it is an audio mix."""
-    coeffs = None
-    if correction is not None and clip.device_id != MIX_DEVICE_ID:
-        coeffs = correction.coeff_for(clip.device_id)
-    return extract_feature(clip, coeffs).feature
+    """One clip's feature, device-corrected if a correction is given."""
+    return extract_feature(
+        clip, correction and correction.coeff_for(clip.device_id)).feature
 
 
 def extract_features(clips, correction: SpectrumCorrection | None = None,

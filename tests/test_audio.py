@@ -1,11 +1,60 @@
 """Front-end: WAV ingestion, framing, spectra, Mel filterbank, deltas."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacn import audio
 from pacn.errors import IngestionError, UsageError
+
+# (format tag, bits per sample): 8-, 16- and 32-bit PCM, 32-bit float
+WAV_FORMATS = [(1, 8), (1, 16), (1, 32), (3, 32)]
+
+
+def wav_bytes(rate, channels, tag, bits, payload) -> bytes:
+    """A RIFF/WAVE file with any u32 rate; the byte rate wraps like the
+    field does."""
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate,
+                      (rate * align) % 2 ** 32, align, bits)
+    data = payload + b"\0" * (len(payload) % 2)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def resample_then_fit(samples, ratio):
+    """Reference: resample every sample, then center-crop or pad."""
+    n_in = len(samples)
+    n_out = int(round(n_in * ratio))
+    if n_out == n_in:
+        x = samples.astype(np.float64)
+    else:
+        x = np.interp(np.arange(n_out, dtype=np.float64) / ratio,
+                      np.arange(n_in, dtype=np.float64), samples)
+    if len(x) > audio.CLIP_SAMPLES:
+        start = (len(x) - audio.CLIP_SAMPLES) // 2
+        x = x[start:start + audio.CLIP_SAMPLES]
+    return np.pad(x, (0, audio.CLIP_SAMPLES - len(x))).astype(np.float32)
+
+
+class TestToClip:
+    @settings(max_examples=150, deadline=None)
+    @given(n_in=st.integers(0, 100_000),
+           ratio=st.one_of(st.floats(0.01, 10.0),
+                           st.integers(1, 200_000).map(lambda r: 44100 / r)),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_resample_then_fit_bitwise(self, n_in, ratio, dtype):
+        if n_in * ratio > 1e6:
+            ratio = 1e6 / max(n_in, 1)
+        x = np.random.default_rng(n_in).standard_normal(n_in).astype(dtype)
+        out = audio.to_clip(x, ratio)
+        assert out.tobytes() == resample_then_fit(x, ratio).tobytes()
 
 
 class TestReadWav:
@@ -47,6 +96,31 @@ class TestReadWav:
         scipy.io.wavfile.write(path, 22050, np.zeros(22050, dtype=np.float32))
         clip = audio.read_wav(path)
         assert len(clip.samples) == 44100
+
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        path.write_bytes(wav_bytes(0, 1, 1, 16, bytes(20)))
+        with pytest.raises(IngestionError, match="sample rate 0 in .*zero.wav"):
+            audio.read_wav(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rate=st.integers(0, 2 ** 32 - 1), channels=st.integers(1, 2),
+           fmt=st.sampled_from(WAV_FORMATS), data=st.data())
+    def test_any_header_reads_as_a_clip_or_fails_typed(self, rate, channels,
+                                                       fmt, data):
+        tag, bits = fmt
+        frames = data.draw(st.integers(0, 100), label="frames")
+        payload = data.draw(st.binary(min_size=frames * channels * bits // 8,
+                                      max_size=frames * channels * bits // 8),
+                            label="payload")
+        try:
+            clip = audio.read_wav(io.BytesIO(wav_bytes(rate, channels, tag,
+                                                       bits, payload)))
+        except IngestionError:
+            return
+        assert clip.samples.dtype == np.float32
+        assert clip.samples.shape == (audio.CLIP_SAMPLES,)
+        assert np.isfinite(clip.samples).all()
 
     def test_unreadable_file_raises(self, tmp_path):
         path = tmp_path / "junk.wav"

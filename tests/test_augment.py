@@ -101,6 +101,12 @@ class TestSpectrumCorrection:
             assert sc.coeff_for("mystery") is None
         assert sum("mystery" in r.getMessage() for r in caplog.records) == 1
 
+    def test_audio_mix_passes_through_without_warning(self, caplog):
+        sc = augment.SpectrumCorrection({"a": np.ones(2049)})
+        with caplog.at_level(logging.WARNING):
+            assert sc.coeff_for(augment.MIX_DEVICE_ID) is None
+        assert not caplog.records
+
     def test_coefficients_must_be_positive(self):
         bad = np.ones(2049)
         bad[7] = 0.0
@@ -124,6 +130,12 @@ class TestPitchShift:
         spectrum = np.abs(np.fft.rfft(out.samples.astype(np.float64)))
         peak_hz = spectrum.argmax()       # 1 s of audio: bin k is k Hz
         assert abs(peak_hz - 484) <= 1
+
+    def test_extreme_factor_stays_within_one_clip(self):
+        # a factor TrainConfig.validate accepts; resampling every sample
+        # before the crop would need 4.4e304 of them
+        out = augment.pitch_shift(AudioClip(samples=tone(440)), 1e-300)
+        assert out.samples.shape == (44100,) and out.samples.dtype == np.float32
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(UsageError):

@@ -4,12 +4,15 @@ import json
 import logging
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+import scipy.io.wavfile
 
 import pacn.cli
 import pacn.model
 import pacn.train
 from pacn.cli import main
+from pacn.evalstats import evaluate, write_eval_csv
 from pacn.manifest import parse_manifest
 
 TINY_MODEL = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
@@ -225,6 +228,40 @@ class TestEval:
                             "--manifest", work / "data" / "manifest.tsv")
         assert "head.fc.bias" in err and "non-finite" in err
 
+    def test_no_correction_fits_none_and_matches_the_library(
+            self, work, tmp_path, monkeypatch):
+        fits = []
+        fit = pacn.train.estimate_dataset_correction
+
+        def counted(clips):
+            fits.append(len(clips))
+            return fit(clips)
+
+        monkeypatch.setattr(pacn.train, "estimate_dataset_correction", counted)
+        manifest = work / "data" / "manifest.tsv"
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", manifest, "--no-correction",
+                   "--report", tmp_path / "cli.csv") == 0
+        assert fits == []
+        model = pacn.model.PacnModel.load(work / "teacher.ckpt")
+        write_eval_csv(tmp_path / "lib.csv",
+                       evaluate(model, pacn.train.load_dataset(manifest)))
+        assert (tmp_path / "cli.csv").read_bytes() \
+            == (tmp_path / "lib.csv").read_bytes()
+
+    def test_zero_sample_rate_wav_fails_cleanly(self, work, tmp_path, capsys):
+        scipy.io.wavfile.write(tmp_path / "zero.wav", 0,
+                               np.zeros(100, dtype=np.int16))
+        header, row = (work / "data" / "manifest.tsv").read_text() \
+            .splitlines()[:2]
+        name = row.split("\t")[0]
+        (tmp_path / "m.tsv").write_text(
+            f"{header}\n{row.replace(name, 'zero.wav', 1)}\n")
+        err = fails_cleanly(capsys, "--quiet", "eval",
+                            "--ckpt", work / "teacher.ckpt",
+                            "--manifest", tmp_path / "m.tsv")
+        assert "zero.wav" in err and "sample rate 0" in err
+
     def test_subset_scores_row(self, work, tmp_path):
         assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
                    "--manifest", work / "data" / "manifest.tsv",
@@ -292,6 +329,19 @@ class TestSignificance:
         path.write_text("\nmethod,s1,s2\nours,0.9,0.8\nbase,0.8,0.7\n")
         assert run("significance", "--scores", path) == 0
         assert "(2 methods, 2 subsets)" in capsys.readouterr().out
+
+    def test_tied_methods_listed_by_name_as_in_the_csv(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "tied.csv"
+        path.write_text("zeta,0.5,0.6,0.7\nalpha,0.5,0.6,0.7\n"
+                        "mid,0.4,0.4,0.4\n")
+        assert run("significance", "--scores", path) == 0
+        listed = [line.split(":")[0].strip()
+                  for line in capsys.readouterr().out.splitlines()
+                  if "avg rank" in line]
+        assert listed == ["alpha", "zeta", "mid"]
+        with open(tmp_path / "tied_ranks.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == listed
 
     def test_malformed_scores_fail_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

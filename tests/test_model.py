@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -538,6 +539,30 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(IngestionError, match="UTF-8"):
             PacnModel.load(path)
+
+    def test_config_bigger_than_file_rejected_before_building(
+            self, tiny_ckpt, tmp_path, monkeypatch):
+        raw = tiny_ckpt.read_bytes()
+        (n,) = struct.unpack("<I", raw[12:16])      # after magic and version
+        config = json.loads(raw[16:16 + n])
+        config["gci_mlp_hidden"] = 10 ** 9          # 4e9 MLP weights, 15 GiB
+        text = json.dumps(config).encode()
+        path = tmp_path / "forged.ckpt"
+        path.write_bytes(raw[:12] + struct.pack("<I", len(text)) + text
+                         + raw[16 + n:])
+        built = []
+        init = PacnModel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PacnModel, "__init__", counted)
+        with pytest.raises(IngestionError, match="more than the file holds"):
+            PacnModel.load(path)
+        assert built == []
+        PacnModel.load(tiny_ckpt)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", ["param", "running_var"])

@@ -135,6 +135,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("text,key", [
         ('{"kd_t2_scale": true}', "kd_t2_scale"),
         ('{"augment": {"mixup_domain": "feature"}}', "mixup_domain"),
+        ('{"augment": {"spectrum_correction": false}}', "spectrum_correction"),
     ])
     def test_removed_keys_are_unknown(self, text, key):
         with pytest.raises(ConfigError, match=key):
