@@ -74,7 +74,9 @@ def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -
     elif data.dtype == np.uint8:
         x = (data.astype(np.float64) - 128.0) / 128.0
     elif data.dtype.kind == "f":
-        x = data.astype(np.float64)
+        # a signalling NaN warns in the cast; non-finite clips are rejected below
+        with np.errstate(invalid="ignore"):
+            x = data.astype(np.float64)
     else:
         raise IngestionError(f"unsupported sample format {data.dtype} in {path}")
     if x.ndim == 2:

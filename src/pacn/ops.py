@@ -55,8 +55,9 @@ def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         gm = g.reshape(n, co, f * t)
-        _accum(x, np.matmul(w.data.T, gm).reshape(n, ci, f, t))
-        _accum(w, np.tensordot(gm, xm, axes=([0, 2], [0, 2])))
+        if x.requires_grad:
+            _accum(x, np.matmul(w.data.T, gm).reshape(n, ci, f, t))
+        _accum(w, np.matmul(gm, xm.swapaxes(1, 2)).sum(0))
         _accum(b, g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, w, b), bw)
@@ -149,13 +150,94 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1)) -> Tensor:
 
 def bsconv_forward(x: Tensor, pw_weight: Tensor, dw_weight: Tensor,
                    pw_bias: Tensor, dw_bias: Tensor, stride=(1, 1)) -> Tensor:
-    """Blueprint separable convolution: 1x1 point-wise, then k x k depth-wise."""
-    if pw_weight.data.shape[0] != dw_weight.data.shape[0]:
+    """Blueprint separable convolution: 1x1 point-wise, then k x k depth-wise.
+
+    Both convolutions are linear, so output channel ``co`` is one dense
+    k x k convolution of the input with weights ``wd[co, k] * wp[co, ci]``.
+    That fold costs ``k * c_in / (c_in + k)`` times the MACs of the pair, so
+    it is taken only where the input has few channels, ``4 * c_in <= c_out``,
+    and the one GEMM beats the two memory-bound passes; every other block
+    runs the point-wise and then the depth-wise convolution.
+    """
+    c_out, c_in = pw_weight.data.shape
+    if c_out != dw_weight.data.shape[0]:
         raise ConfigError(
-            f"point-wise output channels ({pw_weight.data.shape[0]}) != "
+            f"point-wise output channels ({c_out}) != "
             f"depth-wise channels ({dw_weight.data.shape[0]})")
+    if 4 * c_in <= c_out:
+        return _folded_bsconv(x, pw_weight, dw_weight, pw_bias, dw_bias, stride)
     h = pointwise_conv2d(x, pw_weight, pw_bias)
     return depthwise_conv2d(h, dw_weight, dw_bias, stride=stride)
+
+
+def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor,
+                   stride) -> Tensor:
+    """BSConv as one GEMM of the folded weight and the input's tap matrix.
+
+    The tap matrix ``tm`` of shape ``(n, c_in * k, of * ot)`` holds, for
+    each input channel and tap, the zero-padded input seen by that tap at
+    every output position (Chetlur et al. 2014, arXiv:1410.0759); strided
+    slices give the stride. The folded weight is ``wf[co, ci * k + j] =
+    wp[co, ci] * wd[co, j]``. The point-wise bias passes through the
+    depth-wise taps that fall inside the input, so it becomes the map
+    ``bp[co] * (wd[co] @ inb)``, with ``inb`` the ``(k, of * ot)`` indicator
+    of in-bounds taps. The weights change in training, so both are formed
+    on every call. The backward keeps ``tm`` and applies the chain rule
+    through the fold.
+    """
+    n, ci, f, t = x.data.shape
+    co, kf, kt = wd.data.shape
+    if wp.data.shape[1] != ci:
+        raise ConfigError(
+            f"point-wise weight expects {wp.data.shape[1]} input channels, got {ci}")
+    k = kf * kt
+    sf, st = stride
+    of, pf0, pf1 = _same_pad(f, kf, sf)
+    ot, pt0, pt1 = _same_pad(t, kt, st)
+    fp, tp = f + pf0 + pf1, t + pt0 + pt1
+    dtype = x.data.dtype
+    taps = [(slice(i, i + (of - 1) * sf + 1, sf), slice(j, j + (ot - 1) * st + 1, st))
+            for i in range(kf) for j in range(kt)]
+    xp = np.zeros((n, ci, fp, tp), dtype=dtype)
+    xp[:, :, pf0:pf0 + f, pt0:pt0 + t] = x.data
+    inside = np.zeros((fp, tp), dtype=dtype)
+    inside[pf0:pf0 + f, pt0:pt0 + t] = 1
+    tm = np.empty((n, ci, k, of, ot), dtype=dtype)
+    inb = np.empty((k, of, ot), dtype=dtype)
+    for j, (fs, ts) in enumerate(taps):
+        tm[:, :, j] = xp[:, :, fs, ts]
+        inb[j] = inside[fs, ts]
+    del xp
+    tm = tm.reshape(n, ci * k, of * ot)
+    inb = inb.reshape(k, of * ot)
+    wdk = wd.data.reshape(co, k)
+    wf = (wp.data[:, :, None] * wdk[:, None, :]).reshape(co, ci * k)
+    wd_inb = wdk @ inb
+    bias_map = bp.data[:, None] * wd_inb
+    bias_map += bd.data[:, None]
+    out_data = np.matmul(wf, tm)
+    out_data += bias_map
+    # the multiply tally counts the point-wise and depth-wise pair it replaces
+    _tally_macs(n * co * (f * t * ci + of * ot * k))
+
+    def bw(g):
+        gm = g.reshape(n, co, of * ot)
+        gsum = gm.sum(axis=0)
+        dwf = np.matmul(gm, tm.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, k)
+        _accum(wp, (dwf * wdk[:, None, :]).sum(axis=2))
+        dwd = (dwf * wp.data[:, :, None]).sum(axis=1)
+        dwd += bp.data[:, None] * (gsum @ inb.T)
+        _accum(wd, dwd.reshape(co, kf, kt))
+        _accum(bp, (gsum * wd_inb).sum(axis=1))
+        _accum(bd, gsum.sum(axis=1))
+        if x.requires_grad:
+            dtm = np.matmul(wf.T, gm).reshape(n, ci, k, of, ot)
+            dxp = np.zeros((n, ci, fp, tp), dtype=dtype)
+            for j, (fs, ts) in enumerate(taps):
+                dxp[:, :, fs, ts] += dtm[:, :, j]
+            _accum(x, dxp[:, :, pf0:pf0 + f, pt0:pt0 + t])
+
+    return _make(out_data.reshape(n, co, of, ot), (x, wp, wd, bp, bd), bw)
 
 
 def maxpool2d(x: Tensor, window) -> Tensor:

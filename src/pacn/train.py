@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evalstats, ops
-from .audio import (AudioClip, extract_feature, frame_and_window, read_wav,
-                    stft_magnitude)
+from .audio import (CLIP_SAMPLES, AudioClip, extract_feature, frame_and_window,
+                    read_wav, stft_magnitude)
 from .augment import (AugmentConfig, SpectrumCorrection, apply_mixup,
                       augment_clip, draw_mixup, estimate_correction)
 from .errors import (ConfigError, JsonConfig, TrainingError,
@@ -72,9 +72,12 @@ class TrainConfig(JsonConfig):
             raise ConfigError("mixup_alpha must be positive")
         aug = self.augment
         factors = aug.pitch_factors
-        if not factors or min(factors) <= 0:
+        # pitch_shift resamples a clip to CLIP_SAMPLES * (1 / factor) samples
+        if not factors or not all(f > 0 and math.isfinite(CLIP_SAMPLES * (1.0 / f))
+                                  for f in factors):
             raise ConfigError("augment pitch_factors must be a non-empty list "
-                              "of positive numbers")
+                              "of positive numbers, each leaving a finite "
+                              f"resampled clip length, got {list(factors)}")
         for name in ("mixup_prob", "pitch_prob", "audio_mix_prob"):
             value = getattr(aug, name)
             if not 0.0 <= value <= 1.0:

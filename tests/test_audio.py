@@ -2,6 +2,7 @@
 
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ class TestReadWav:
         assert clip.samples.dtype == np.float32
         assert clip.samples.shape == (audio.CLIP_SAMPLES,)
         assert np.isfinite(clip.samples).all()
+
+    def test_signalling_nan_float_wav_rejected_without_warning(self):
+        snan = np.array([0, 0x7F800001, 0], dtype="<u4").tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match="non-finite"):
+                audio.read_wav(io.BytesIO(wav_bytes(44100, 1, 3, 32, snan)))
 
     def test_unreadable_file_raises(self, tmp_path):
         path = tmp_path / "junk.wav"

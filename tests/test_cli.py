@@ -458,6 +458,15 @@ class TestArgHandling:
         fails_cleanly(capsys, "--quiet", command, flag, bad, *data,
                       "--out", tmp_path / "out")
 
+    def test_pitch_factor_overflowing_the_clip_fails_cleanly(self, work, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"augment": {"pitch_factors": [1e-305], "pitch_prob": 1.0}}')
+        err = fails_cleanly(capsys, "--quiet", "train-teacher", "--config", bad,
+                            "--manifest", work / "data" / "manifest.tsv",
+                            "--out", tmp_path / "out")
+        assert "pitch_factors" in err
+
     @pytest.mark.parametrize("text", ['{"arn_enabled": "no"}',
                                       '{"gci_heads": true}',
                                       '{"pre_channels": [true, 16]}'])

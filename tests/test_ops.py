@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pacn.ops
+from pacn.cli import _packaged_config
 from pacn.errors import ConfigError
 from pacn.gradcheck import check_gradients
+from pacn.model import PacnModel
 from pacn.ops import (
     EPS,
     arn_forward,
@@ -283,6 +286,73 @@ class TestConvolutions:
         # oracle's einsum, so only float32 rounding may differ
         assert dw.dtype == want_dw.dtype and dw.shape == want_dw.shape
         assert np.abs(dw - want_dw).max() <= 1e-5 * np.abs(want_dw).max()
+
+
+class TestFoldedBsconv:
+    """A block with ``4 * c_in <= c_out`` runs BSConv as one folded GEMM."""
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2)])
+    def test_folded_gradients(self, stride):
+        def build(rng):
+            x = leaf(rng, (2, 2, 7, 6))
+            pw = leaf(rng, (8, 2))
+            pb = leaf(rng, (8,))
+            dw = leaf(rng, (8, 3, 3))
+            db = leaf(rng, (8,))
+            def fn():
+                out = bsconv_forward(x, pw, dw, pw_bias=pb, dw_bias=db, stride=stride)
+                return (out * out).mean()
+            return [x, pw, pb, dw, db], fn
+        assert_grads_ok(build, tol=1e-8)
+
+    # the teacher's pre.0 and pre.1 blocks at batch 2
+    @pytest.mark.parametrize("c_in, c_out, f, t", [(2, 12, 256, 65), (12, 64, 64, 32)])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 1)])
+    def test_matches_pointwise_then_depthwise(self, c_in, c_out, f, t, stride):
+        rng = np.random.default_rng(3)
+        shapes = [(2, c_in, f, t), (c_out, c_in), (c_out, 3, 3), (c_out,), (c_out,)]
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        g = rng.standard_normal((2, c_out, -(-f // stride[0]), -(-t // stride[1])))
+        g = g.astype(np.float32)
+        out, grads = run_with_grad(
+            lambda x, pw, dw, pb, db: bsconv_forward(x, pw, dw, pb, db, stride=stride),
+            arrays, g)
+        want_out, want_grads = run_with_grad(
+            lambda x, pw, dw, pb, db: depthwise_conv2d(
+                pointwise_conv2d(x, pw, pb), dw, db, stride=stride),
+            arrays, g)
+        for got, want in zip([out, *grads], [want_out, *want_grads]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    @pytest.mark.parametrize("c_out, folds", [(7, False), (8, True)])
+    def test_folds_from_four_times_the_input_channels(self, c_out, folds, monkeypatch):
+        calls = []
+        fold = pacn.ops._folded_bsconv
+        monkeypatch.setattr(pacn.ops, "_folded_bsconv",
+                            lambda *args: calls.append(args) or fold(*args))
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        bsconv_forward(x, Tensor(np.zeros((c_out, 2))), Tensor(np.zeros((c_out, 3, 3))),
+                       zero_bias(c_out), zero_bias(c_out))
+        assert len(calls) == folds
+
+    @pytest.mark.parametrize("name, folded", [
+        ("student", {"pre.1"}), ("teacher", {"pre.0", "pre.1"})])
+    def test_packaged_models_fold_only_few_input_channel_blocks(
+            self, name, folded, monkeypatch):
+        model = PacnModel(_packaged_config(f"{name}.json"), seed=0)
+        block_of = {id(t): path[:-len(".pw.weight")]
+                    for path, t in model.params.items() if path.endswith(".pw.weight")}
+        calls = {"_folded_bsconv": [], "pointwise_conv2d": []}
+        for fname, seen in calls.items():
+            def spy(x, w, *args, _fn=getattr(pacn.ops, fname), _seen=seen):
+                _seen.append(block_of[id(w)])
+                return _fn(x, w, *args)
+            monkeypatch.setattr(pacn.ops, fname, spy)
+        x = np.random.default_rng(0).standard_normal((2, 2, 256, 65))
+        model(Tensor(x.astype(np.float32)), training=True)
+        assert sorted(calls["_folded_bsconv"]) == sorted(folded)
+        assert sorted(calls["pointwise_conv2d"]) == sorted(set(block_of.values()) - folded)
 
 
 class TestPooling:
@@ -717,6 +787,16 @@ class TestMultiplyTallies:
         with count_multiplies() as tally:
             depthwise_conv2d(x, w, zero_bias(2, np.float32), stride=(2, 2))
         assert tally[0] == 5 * 3 * 2 * 9
+
+    def test_folded_bsconv_tallies_the_pair_it_replaces(self):
+        x = Tensor(np.zeros((2, 2, 9, 5), dtype=np.float32))
+        pw = Tensor(np.zeros((8, 2), dtype=np.float32))
+        dw = Tensor(np.zeros((8, 3, 3), dtype=np.float32))
+        b = zero_bias(8, np.float32)
+        with count_multiplies() as tally:
+            bsconv_forward(x, pw, dw, b, b, stride=(2, 1))
+        # point-wise at 9 x 5, then depth-wise at the 5 x 5 strided output
+        assert tally[0] == 2 * (9 * 5 * 8 * 2 + 5 * 5 * 8 * 9)
 
     def test_attention_tally_formula(self):
         n, L, d, h = 2, 6, 8, 2

@@ -108,6 +108,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize("factor", [1e-305, 5e-324, math.nan])
+    def test_pitch_factor_with_non_finite_clip_length_rejected(self, factor):
+        # pitch_shift would need CLIP_SAMPLES / factor samples: OverflowError
+        # (or ValueError for NaN) from the batch worker instead of a ConfigError
+        cfg = TrainConfig(augment=AugmentConfig(pitch_factors=(1.0, factor)))
+        with pytest.raises(ConfigError, match="pitch_factors"):
+            cfg.validate()
+        tiny = TrainConfig(augment=AugmentConfig(pitch_factors=(1e-300,)))
+        assert tiny.validate() is tiny
+
     @pytest.mark.parametrize("text", [
         '5', '{"epochs": "2"}', '{"augment": 3}',
         '{"augment": {"pitch_factors": 3}}', '{"kd_temperature": true}',
