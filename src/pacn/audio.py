@@ -111,7 +111,7 @@ def frame_and_window(samples: np.ndarray) -> np.ndarray:
 
 
 def stft_magnitude(frames: np.ndarray) -> np.ndarray:
-    """(frames, 4096) -> (frames, 2049) spectral magnitudes."""
+    """(frames, 4096) -> (frames, 2049) spectral magnitudes (the correction fit)."""
     return np.abs(np.fft.rfft(frames, axis=-1))
 
 
@@ -159,17 +159,14 @@ def delta_coefficients(logmel: np.ndarray) -> np.ndarray:
 
 
 def extract_feature(clip: AudioClip, spectrum_coeffs: np.ndarray | None = None) -> FeatureClip:
-    """Full front-end: frames -> (corrected) spectrum -> log-Mel -> +delta.
+    """Full front-end: frames -> (corrected) power spectrum -> log-Mel -> +delta.
 
-    ``spectrum_coeffs``, if given, multiply the magnitude spectrum per bin
-    before Mel filtering (device response correction).
+    ``spectrum_coeffs``, if given, are a device's magnitude correction: the
+    power spectrum is scaled by their square per bin before Mel filtering.
     """
-    frames = frame_and_window(clip.samples)
+    power = stft_power(frame_and_window(clip.samples))
     if spectrum_coeffs is not None:
-        mag = stft_magnitude(frames) * spectrum_coeffs[None, :]
-        power = mag ** 2
-    else:
-        power = stft_power(frames)
+        power *= np.square(spectrum_coeffs, dtype=np.float64)
     logmel = mel_log(power)
     delta = delta_coefficients(logmel)
     feature = np.stack([logmel, delta], axis=-1).astype(np.float32)

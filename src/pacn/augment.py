@@ -1,8 +1,9 @@
 """Data augmentation: mixup, device spectrum correction, pitch shift, audio mix.
 
 Pitch shift and audio mix act on waveforms at load time; mixup acts on whole
-batches of features; spectrum correction multiplies magnitude spectra per
-frequency bin before Mel filtering.
+batches of features; spectrum correction scales power spectra per frequency
+bin by the square ``c²`` of a device's magnitude coefficients before Mel
+filtering.
 """
 
 from __future__ import annotations
@@ -60,12 +61,20 @@ def apply_mixup(x: np.ndarray, y: np.ndarray, mb: MixupBatch):
 
 
 class SpectrumCorrection:
-    """Per-device frequency-response correction coefficients (2049 bins)."""
+    """Per-device frequency-response correction coefficients (2049 bins).
+
+    The coefficients are rounded to float32 here, the precision a checkpoint
+    stores, so a model applies the same bits in training and after loading.
+    """
 
     def __init__(self, coeffs: dict[str, np.ndarray]):
         self.coeffs: dict[str, np.ndarray] = {}
         for dev, c in coeffs.items():
-            c = np.asarray(c, dtype=np.float64)
+            if dev == MIX_DEVICE_ID:
+                raise UsageError(f"device id {dev!r} is reserved for "
+                                 "audio-mixed clips")
+            with np.errstate(over="ignore"):    # overflow is rejected below
+                c = np.array(c, dtype=np.float32)
             if c.shape != (N_BINS,):
                 raise UsageError(f"device {dev}: expected {N_BINS} coefficients, "
                                  f"got shape {c.shape}")

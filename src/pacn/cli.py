@@ -31,7 +31,7 @@ from .model import PacnConfig, PacnModel
 from .profiler import profile, verify_against_runtime
 from .seeding import PURPOSE_AUGMENT, derive_rng
 from .synth import SynthSpec, generate_synth_dataset
-from .train import (TrainConfig, load_dataset, split_train_val,
+from .train import (TrainConfig, load_dataset, load_training_split,
                     train_student_kd, train_teacher, write_metrics)
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,8 @@ def cmd_synth_data(args) -> int:
 
 def cmd_train(args) -> int:
     """``train-teacher`` and ``train-student``: train a fresh model on a
-    manifest, minus any excluded device, then save it and its metrics."""
+    manifest, minus any excluded device, then save it, with the spectrum
+    correction fitted on its training split, and its metrics."""
     role = args.command.removeprefix("train-")
     cfg = TrainConfig.from_file(args.config)
     if args.seed is not None:
@@ -68,15 +69,14 @@ def cmd_train(args) -> int:
     # a bad teacher checkpoint fails before any WAV is read
     teacher = (PacnModel.load(args.teacher)
                if role == "student" and args.teacher else None)
-    ds = load_dataset(args.manifest, args.threads, fit_correction=True,
-                      exclude_device=args.exclude_device)
-    train_ds, val_ds = split_train_val(ds, args.val_fraction, cfg.seed)
+    train_ds, val_ds, correction = load_training_split(
+        args.manifest, args.val_fraction, cfg.seed, args.threads,
+        args.exclude_device)
     if role == "teacher":
-        result = train_teacher(model_cfg, train_ds, cfg, val_ds,
-                               train_ds.correction)
+        result = train_teacher(model_cfg, train_ds, cfg, val_ds, correction)
     else:
         result = train_student_kd(model_cfg, teacher, train_ds, cfg, val_ds,
-                                  train_ds.correction)
+                                  correction)
     result.model.save(args.out)
     write_metrics(args.metrics or f"{args.out}.metrics.csv", result)
     last = result.metrics[-1]
@@ -90,7 +90,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = PacnModel.load(args.ckpt)
     ds = load_dataset(args.manifest, args.threads,
-                      fit_correction=not args.no_correction)
+                      None if args.no_correction else model.correction)
     unseen = ()
     if args.held_out_device is not None:
         if args.held_out_device not in ds.devices:
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mark this device as unseen in the report")
     p.add_argument("--report", default=None, help="write a CSV report here")
     p.add_argument("--no-correction", action="store_true",
-                   help="skip manifest-estimated spectrum correction")
+                   help="ignore the checkpoint's spectrum correction")
     p.add_argument("--subset-scores", default=None,
                    help="write a per-subset accuracy row (significance input)")
     p.add_argument("--method-name", default="model")

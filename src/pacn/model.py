@@ -19,14 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .audio import N_FRAMES, N_MELS
-from .errors import ConfigError, IngestionError, JsonConfig, check_field_types
+from .audio import N_BINS, N_FRAMES, N_MELS
+from .augment import SpectrumCorrection
+from .errors import (ConfigError, IngestionError, JsonConfig, UsageError,
+                     check_field_types)
 from .seeding import PURPOSE_INIT, derive_rng
 from .tensor import (Tensor, concat, no_grad, relu, reshape, tmean,
                      transpose)
 
 CHECKPOINT_MAGIC = b"PACNCKPT"
 CHECKPOINT_VERSION = 1
+CORRECTION_PREFIX = "correction."       # + device id: one (2049,) entry each
 
 WIRING_MODES = ("parallel", "serial", "no_fusion")
 
@@ -102,7 +105,11 @@ def features_to_input(batch: np.ndarray) -> Tensor:
 
 
 class PacnModel:
-    """Config-driven network holding an ordered layer-path -> Tensor map."""
+    """Config-driven network holding an ordered layer-path -> Tensor map.
+
+    ``correction`` is the spectrum correction the model was trained with
+    (None if none); it is saved with the weights and applied by ``eval``.
+    """
 
     def __init__(self, config: PacnConfig, seed: int = 0,
                  dtype=np.float32):
@@ -111,6 +118,7 @@ class PacnModel:
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         self.state: dict[str, dict] = {}
+        self.correction: SpectrumCorrection | None = None
         self._rng = derive_rng(seed, PURPOSE_INIT)
         self._build()
         del self._rng
@@ -344,6 +352,10 @@ class PacnModel:
     # -- checkpoint I/O --------------------------------------------------------
 
     def _entries(self):
+        # the correction goes first, so a file cut anywhere misses a weight
+        if self.correction is not None:
+            for dev, c in self.correction.coeffs.items():
+                yield CORRECTION_PREFIX + dev, c
         for path, t in self.params.items():
             yield path, t.data
         for path, st in self.state.items():
@@ -386,18 +398,23 @@ class PacnModel:
                                  "than the file holds")
         model = cls(config)
         expected = dict(model._entries())
+        corrections = {}
         loaded = set()
         while not reader.done():
             name = reader.text("tensor name")
             (ndim,) = reader.u32s(1, name)
             shape = reader.u32s(ndim, name)
-            target = expected.get(name)
+            if name.startswith(CORRECTION_PREFIX):
+                target = np.empty(N_BINS, dtype=np.float32)
+                corrections[name.removeprefix(CORRECTION_PREFIX)] = target
+            else:
+                target = expected.get(name)
             if target is None:
                 raise IngestionError(f"checkpoint/config mismatch in {path}: "
                                      f"unexpected tensor {name!r}")
             if shape != target.shape:
-                raise IngestionError(f"tensor {name} has shape {shape}, "
-                                     f"expected {target.shape}")
+                raise IngestionError(f"tensor {name} in {path} has shape "
+                                     f"{shape}, expected {target.shape}")
             raw = reader.take(4 * target.size, name)
             target[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
             if not np.isfinite(target).all():
@@ -408,6 +425,11 @@ class PacnModel:
         if missing:
             raise IngestionError(f"checkpoint/config mismatch in {path}: "
                                  f"missing {sorted(missing)[:3]}")
+        if corrections:
+            try:
+                model.correction = SpectrumCorrection(corrections)
+            except UsageError as exc:
+                raise IngestionError(f"{path}: {exc}") from None
         return model
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import logging
 import math
@@ -196,7 +195,6 @@ class Dataset:
     labels: np.ndarray                  # (n,) int64
     devices: tuple[str, ...]
     names: tuple[str, ...]              # stable ids keying RNG streams
-    correction: SpectrumCorrection | None = None    # applied to ``features``
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -207,8 +205,7 @@ class Dataset:
                        features=self.features[idx],
                        labels=self.labels[idx],
                        devices=tuple(self.devices[i] for i in idx),
-                       names=tuple(self.names[i] for i in idx),
-                       correction=self.correction)
+                       names=tuple(self.names[i] for i in idx))
 
 
 def _clip_feature(clip: AudioClip,
@@ -220,8 +217,19 @@ def _clip_feature(clip: AudioClip,
 
 def extract_features(clips, correction: SpectrumCorrection | None = None,
                      threads: int = 1) -> np.ndarray:
-    """Stack clean per-clip features, optionally device-corrected."""
-    one = functools.partial(_clip_feature, correction=correction)
+    """Stack clean per-clip features, optionally device-corrected.
+
+    Each device's coefficients are looked up once, on the calling thread and
+    in first-appearance order, so an unseen device warns once per call.
+    """
+    coeffs = {}
+    if correction is not None:
+        coeffs = {dev: correction.coeff_for(dev)
+                  for dev in dict.fromkeys(c.device_id for c in clips)}
+
+    def one(clip):
+        return extract_feature(clip, coeffs.get(clip.device_id)).feature
+
     if threads > 1 and len(clips) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             feats = list(pool.map(one, clips))
@@ -230,14 +238,10 @@ def extract_features(clips, correction: SpectrumCorrection | None = None,
     return np.stack(feats)
 
 
-def load_dataset(manifest_path, threads: int = 1, fit_correction: bool = False,
-                 exclude_device: str | None = None) -> Dataset:
-    """Read the clips a manifest lists (paths relative to it) into a Dataset.
+def _read_clips(manifest_path, exclude_device: str | None = None):
+    """The manifest's rows, minus ``exclude_device``'s, and their clips.
 
-    ``exclude_device`` drops that device's rows before any WAV is read; each
-    kept WAV is read once. With ``fit_correction`` the spectrum correction is
-    fitted on the kept clips, applied to their features and returned as
-    ``Dataset.correction``.
+    Rows are dropped before any WAV is read; each kept WAV is read once.
     """
     rows = parse_manifest(manifest_path)
     if not rows:
@@ -251,15 +255,46 @@ def load_dataset(manifest_path, threads: int = 1, fit_correction: bool = False,
                              "nothing left to train on")
         rows = kept
     base = os.path.dirname(os.path.abspath(manifest_path))
-    clips = [read_wav(os.path.join(base, r.filename), r.label_index,
-                      r.device_id, r.city) for r in rows]
-    correction = estimate_dataset_correction(clips) if fit_correction else None
+    return rows, [read_wav(os.path.join(base, r.filename), r.label_index,
+                           r.device_id, r.city) for r in rows]
+
+
+def _dataset(rows, clips, correction: SpectrumCorrection | None,
+             threads: int) -> Dataset:
     return Dataset(clips=clips,
                    features=extract_features(clips, correction, threads),
                    labels=np.array([r.label_index for r in rows], dtype=np.int64),
                    devices=tuple(r.device_id for r in rows),
-                   names=tuple(r.filename for r in rows),
-                   correction=correction)
+                   names=tuple(r.filename for r in rows))
+
+
+def load_dataset(manifest_path, threads: int = 1,
+                 correction: SpectrumCorrection | None = None) -> Dataset:
+    """Read the clips a manifest lists (paths relative to it) into a Dataset.
+
+    ``correction``, if given, is applied to the features; nothing is fitted
+    here.
+    """
+    rows, clips = _read_clips(manifest_path)
+    return _dataset(rows, clips, correction, threads)
+
+
+def load_training_split(manifest_path, val_fraction: float, seed: int,
+                        threads: int = 1, exclude_device: str | None = None):
+    """(train, val, correction) for training on a manifest.
+
+    The rows are split as ``split_train_val`` splits them, the correction is
+    fitted on the training part only, and then every feature is extracted
+    once with it, so no validation clip reaches the fit.
+    """
+    rows, clips = _read_clips(manifest_path, exclude_device)
+    labels = np.array([r.label_index for r in rows], dtype=np.int64)
+    train_idx, val_idx = _split_indices(labels, val_fraction, seed)
+    if len(train_idx) == 0:
+        raise UsageError("training dataset is empty")
+    correction = estimate_dataset_correction([clips[i] for i in train_idx])
+    ds = _dataset(rows, clips, correction, threads)
+    return ds.subset(train_idx), ds.subset(val_idx), correction
 
 
 def estimate_dataset_correction(clips) -> SpectrumCorrection:
@@ -271,20 +306,26 @@ def estimate_dataset_correction(clips) -> SpectrumCorrection:
     return estimate_correction({d: np.stack(s) for d, s in by_device.items()})
 
 
-def split_train_val(ds: Dataset, val_fraction: float, seed: int):
-    """Deterministic stratified split; returns (train, val)."""
+def _split_indices(labels: np.ndarray, val_fraction: float, seed: int):
+    """Deterministic stratified split of row indices; (train, val)."""
     if not 0.0 <= val_fraction < 1.0:
         raise UsageError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     val_idx = []
-    for c in np.unique(ds.labels):
-        members = np.flatnonzero(ds.labels == c)
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
         rng = derive_rng(seed, PURPOSE_SHUFFLE, "val-split", int(c))
         take = int(round(val_fraction * len(members)))
         val_idx.extend(members[rng.permutation(len(members))[:take]])
     val_idx = np.sort(np.array(val_idx, dtype=np.int64))
-    mask = np.ones(len(ds), dtype=bool)
+    mask = np.ones(len(labels), dtype=bool)
     mask[val_idx] = False
-    return ds.subset(np.flatnonzero(mask)), ds.subset(val_idx)
+    return np.flatnonzero(mask), val_idx
+
+
+def split_train_val(ds: Dataset, val_fraction: float, seed: int):
+    """Deterministic stratified split; returns (train, val)."""
+    train_idx, val_idx = _split_indices(ds.labels, val_fraction, seed)
+    return ds.subset(train_idx), ds.subset(val_idx)
 
 
 # -- training loop ---------------------------------------------------------------
@@ -371,6 +412,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
     num_classes = model_cfg.num_classes
     check_labels(train_ds.labels, num_classes)
     model = PacnModel(model_cfg, seed=cfg.seed)
+    model.correction = correction
     opt = Adam(model.params)
     n = len(train_ds)
     steps_per_epoch = math.ceil(n / cfg.batch_size)

@@ -291,3 +291,22 @@ class TestExtractFeature:
         doubled = audio.extract_feature(clip, spectrum_coeffs=np.full(2049, 2.0)).feature
         np.testing.assert_allclose(ones, plain, atol=1e-5)
         assert not np.allclose(doubled, plain, atol=1e-3)
+
+    @pytest.mark.parametrize("signal", ["noise", "tone"])
+    def test_corrected_power_matches_corrected_magnitude_squared(self, signal):
+        # the oracle is the former corrected path: |rfft| times the
+        # coefficients, then squared
+        rng = np.random.default_rng(6)
+        t = np.arange(44100) / 44100.0
+        x = (rng.uniform(-1, 1, 44100) if signal == "noise"
+             else 0.5 * np.sin(2 * np.pi * 1000.0 * t))
+        clip = audio.AudioClip(samples=x.astype(np.float32))
+        coeffs = rng.uniform(0.2, 5.0, 2049).astype(np.float32)
+        mag = audio.stft_magnitude(audio.frame_and_window(clip.samples))
+        logmel = audio.mel_log((mag * coeffs[None, :]) ** 2)
+        ref = np.stack([logmel, audio.delta_coefficients(logmel)],
+                       axis=-1).astype(np.float32)
+        got = audio.extract_feature(clip, coeffs).feature
+        for c in range(2):
+            d = np.abs(got[..., c].astype(np.float64) - ref[..., c])
+            assert d.max() <= 1e-6 * np.abs(ref[..., c]).max()

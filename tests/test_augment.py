@@ -54,7 +54,21 @@ class TestSpectrumCorrection:
         d = {"a": coeffs}
         sc = augment.SpectrumCorrection(d)
         assert d == {"a": coeffs} and d["a"] is coeffs
-        assert sc.coeffs["a"].dtype == np.float64
+        assert sc.coeffs["a"].dtype == np.float32
+
+    def test_coefficients_rounded_to_float32_when_built(self):
+        c = np.random.default_rng(12).uniform(0.5, 2.0, 2049)
+        sc = augment.SpectrumCorrection({"a": c})
+        assert sc.coeffs["a"].tobytes() == c.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("value", [1e-50, 1e300])
+    def test_coefficients_lost_in_float32_rejected(self, value):
+        with pytest.raises(UsageError, match="positive and finite"):
+            augment.SpectrumCorrection({"a": np.full(2049, value)})
+
+    def test_mix_device_rejected(self):
+        with pytest.raises(UsageError, match="reserved"):
+            augment.SpectrumCorrection({augment.MIX_DEVICE_ID: np.ones(2049)})
 
     def test_single_device_gets_unit_coefficients(self):
         sc = augment.estimate_correction({"a": np.full((1, 2049), 2.0)})

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import logging
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,7 +14,8 @@ import pacn.model
 import pacn.train
 from pacn.cli import main
 from pacn.evalstats import evaluate, write_eval_csv
-from pacn.manifest import parse_manifest
+from pacn.audio import write_wav
+from pacn.manifest import parse_manifest, write_manifest
 
 TINY_MODEL = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
                   gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4,
@@ -59,6 +61,19 @@ def fails_cleanly(capsys, *argv) -> str:
     return err
 
 
+def count_fits(monkeypatch):
+    """Record the clip count of every spectrum-correction fit."""
+    fits = []
+    fit = pacn.train.estimate_dataset_correction
+
+    def counted(clips):
+        fits.append(len(clips))
+        return fit(clips)
+
+    monkeypatch.setattr(pacn.train, "estimate_dataset_correction", counted)
+    return fits
+
+
 def count_read_wav(monkeypatch, *modules):
     """Route ``read_wav`` in each module through one call counter."""
     calls = []
@@ -100,7 +115,8 @@ class TestTraining:
     def test_teacher_artifacts(self, work):
         assert (work / "teacher.ckpt").exists()
         metrics = work / "teacher.ckpt.metrics.csv"
-        rows = list(csv.reader(open(metrics)))
+        with open(metrics, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 3                      # header + 2 epochs
         assert rows[0][0] == "epoch"
         assert (work / "teacher.ckpt.metrics.csv.meta.json").exists()
@@ -150,6 +166,37 @@ class TestTraining:
                    "--out", tmp_path / "x.ckpt",
                    "--exclude-device", "b") == 0
 
+    def test_validation_audio_leaves_the_checkpoint_alone(self, work,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # the correction is fitted once, on the training split only, so a
+        # different validation clip changes no weight and no coefficient
+        data = shutil.copytree(work / "data", tmp_path / "data")
+        ds = pacn.train.load_dataset(data / "manifest.tsv")
+        train_ds, val_ds = pacn.train.split_train_val(ds, 0.25, seed=1)
+        noise = np.random.default_rng(3).uniform(-0.5, 0.5, 44100)
+        write_wav(data / val_ds.names[0], noise.astype(np.float32))
+        fits = count_fits(monkeypatch)
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", data / "manifest.tsv",
+                   "--out", tmp_path / "t.ckpt",
+                   "--val-fraction", "0.25") == 0
+        assert fits == [len(train_ds)]
+        assert (tmp_path / "t.ckpt").read_bytes() \
+            == (work / "teacher.ckpt").read_bytes()
+
+    def test_checkpoint_carries_the_training_devices(self, work, tmp_path):
+        assert sorted(pacn.model.PacnModel.load(
+            work / "teacher.ckpt").correction.coeffs) == ["a", "b"]
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", work / "data" / "manifest.tsv",
+                   "--out", tmp_path / "x.ckpt",
+                   "--exclude-device", "b") == 0
+        assert sorted(pacn.model.PacnModel.load(
+            tmp_path / "x.ckpt").correction.coeffs) == ["a"]
+
     def test_missing_config_reports_path(self, work, capsys):
         assert run("train-teacher", "--config", "no_such_config.json",
                    "--model-config", work / "model.json",
@@ -173,7 +220,8 @@ class TestEval:
                    "--manifest", work / "data" / "manifest.tsv",
                    "--held-out-device", "b",
                    "--report", tmp_path / "r.csv") == 0
-        rows = list(csv.reader(open(tmp_path / "r.csv")))
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert any(r[0] == "device_unseen" and r[1] == "b" for r in rows)
 
     def test_unknown_held_out_device_fails(self, work, capsys):
@@ -249,6 +297,57 @@ class TestEval:
         assert (tmp_path / "cli.csv").read_bytes() \
             == (tmp_path / "lib.csv").read_bytes()
 
+    def test_applies_the_checkpoint_correction_and_matches_the_library(
+            self, work, tmp_path, monkeypatch):
+        fits = count_fits(monkeypatch)
+        manifest = work / "data" / "manifest.tsv"
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", manifest,
+                   "--report", tmp_path / "cli.csv") == 0
+        assert fits == []
+        model = pacn.model.PacnModel.load(work / "teacher.ckpt")
+        write_eval_csv(tmp_path / "lib.csv", evaluate(
+            model, pacn.train.load_dataset(manifest,
+                                           correction=model.correction)))
+        assert (tmp_path / "cli.csv").read_bytes() \
+            == (tmp_path / "lib.csv").read_bytes()
+
+    def test_held_out_rows_do_not_move_other_predictions(
+            self, work, tmp_path, monkeypatch, caplog):
+        manifest = work / "data" / "manifest.tsv"
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", manifest, "--out", tmp_path / "x.ckpt",
+                   "--exclude-device", "b") == 0
+        seen_only = tmp_path / "seen_only.tsv"
+        write_manifest(seen_only, [
+            dataclasses.replace(r, filename=str(manifest.parent / r.filename))
+            for r in parse_manifest(manifest) if r.device_id != "b"])
+        fits = count_fits(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            assert run("--quiet", "eval", "--ckpt", tmp_path / "x.ckpt",
+                       "--manifest", manifest, "--held-out-device", "b",
+                       "--report", tmp_path / "all.csv") == 0
+        assert run("--quiet", "eval", "--ckpt", tmp_path / "x.ckpt",
+                   "--manifest", seen_only,
+                   "--report", tmp_path / "seen.csv") == 0
+        assert fits == []
+        assert sum("'b'" in r.getMessage() for r in caplog.records) == 1
+
+        def device_rows(path, dev):
+            with open(path, newline="") as fh:
+                return [r for r in csv.reader(fh) if r[:2] == ["device", dev]]
+
+        assert device_rows(tmp_path / "all.csv", "a") \
+            == device_rows(tmp_path / "seen.csv", "a") != []
+        model = pacn.model.PacnModel.load(tmp_path / "x.ckpt")
+        full = pacn.train.load_dataset(manifest, correction=model.correction)
+        seen = pacn.train.load_dataset(seen_only, correction=model.correction)
+        kept = np.array(full.devices) != "b"
+        np.testing.assert_array_equal(full.features[kept], seen.features)
+        np.testing.assert_array_equal(evaluate(model, full).predictions[kept],
+                                      evaluate(model, seen).predictions)
+
     def test_zero_sample_rate_wav_fails_cleanly(self, work, tmp_path, capsys):
         scipy.io.wavfile.write(tmp_path / "zero.wav", 0,
                                np.zeros(100, dtype=np.int16))
@@ -268,7 +367,8 @@ class TestEval:
                    "--subset-scores", tmp_path / "s.csv",
                    "--method-name", "ours", "--subsets", "6",
                    "--fraction", "0.5") == 0
-        rows = list(csv.reader(open(tmp_path / "s.csv")))
+        with open(tmp_path / "s.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][0] == "method" and len(rows[0]) == 7
         assert rows[1][0] == "ours"
         assert all(0.0 <= float(v) <= 1.0 for v in rows[1][1:])
@@ -281,7 +381,8 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "total" in out
         assert "runtime multiply tally" in out
-        rows = list(csv.reader(open(tmp_path / "p.csv")))
+        with open(tmp_path / "p.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["layer", "kind", "params", "macs"]
 
 

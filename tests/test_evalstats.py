@@ -115,7 +115,8 @@ class TestEvaluate:
         assert "device s1 (unseen)" in text
         path = tmp_path / "r.csv"
         write_eval_csv(path, result)
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["section", "key", "value"]
         assert ["device_unseen", "s1", repr(0.5)] in rows
         assert any(r[0] == "confusion" and r[1] == "airport" for r in rows)
@@ -268,7 +269,8 @@ class TestRankReport:
         report = rank_report(ladder_scores(), ["m1", "m2", "m3", "m4"])
         path = tmp_path / "ranks.csv"
         write_rank_csv(path, report)
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:3] == ["method", "avg_rank", "cd"]
         assert [r[0] for r in rows[1:]] == ["m1", "m2", "m3", "m4"]
         m2 = rows[2]

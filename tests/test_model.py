@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacn import ops
+from pacn.augment import SpectrumCorrection
 from pacn.errors import ConfigError, IngestionError, PacnError
 from pacn.model import WIRING_MODES, PacnConfig, PacnModel, features_to_input
 from pacn.tensor import Tensor, backward, count_multiplies, no_grad, relu
@@ -466,6 +467,27 @@ def tiny_ckpt(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def corrected_ckpt(tmp_path_factory):
+    """A tiny checkpoint that carries a spectrum correction for two devices."""
+    model = PacnModel(PacnConfig(**TINY), seed=0)
+    rng = np.random.default_rng(16)
+    model.correction = SpectrumCorrection(
+        {dev: rng.uniform(0.5, 2.0, 2049) for dev in ("a", "b.2")})
+    path = tmp_path_factory.mktemp("ckpt") / "corrected.ckpt"
+    model.save(path)
+    return path
+
+
+def tensor_entry(name: str, values) -> bytes:
+    """One entry of a checkpoint's tensor stream."""
+    data = np.asarray(values, dtype="<f4")
+    enc = name.encode()
+    return (struct.pack("<I", len(enc)) + enc
+            + struct.pack(f"<I{data.ndim}I", data.ndim, *data.shape)
+            + data.tobytes())
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_everything(self, tmp_path):
         model = PacnModel(PacnConfig(wiring_mode="serial"), seed=8)
@@ -579,6 +601,82 @@ class TestCheckpoint:
         model.save(path)
         with pytest.raises(IngestionError, match=re.escape(name)):
             PacnModel.load(path)
+
+    def test_correction_roundtrip_is_bit_exact(self, corrected_ckpt, tmp_path):
+        clone = PacnModel.load(corrected_ckpt)
+        assert list(clone.correction.coeffs) == ["a", "b.2"]
+        path = tmp_path / "again.ckpt"
+        clone.save(path)
+        assert path.read_bytes() == corrected_ckpt.read_bytes()
+        rng = np.random.default_rng(16)
+        for dev in ("a", "b.2"):
+            c = rng.uniform(0.5, 2.0, 2049).astype(np.float32)
+            assert clone.correction.coeffs[dev].tobytes() == c.tobytes()
+
+    def test_correction_adds_only_its_entries(self, tiny_ckpt,
+                                              corrected_ckpt):
+        # 8-byte header and config are shared; each device adds one entry
+        extra = sum(len(tensor_entry(f"correction.{d}", np.ones(2049)))
+                    for d in ("a", "b.2"))
+        assert (corrected_ckpt.stat().st_size
+                == tiny_ckpt.stat().st_size + extra)
+
+    def test_checkpoint_without_correction_loads_none(self, tiny_ckpt):
+        assert PacnModel.load(tiny_ckpt).correction is None
+
+    @pytest.mark.parametrize("values", [np.ones(7), np.ones((2049, 1)),
+                                        np.ones((1, 2049))])
+    def test_correction_entry_of_wrong_shape_rejected(self, tiny_ckpt,
+                                                      tmp_path, values):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(tiny_ckpt.read_bytes()
+                         + tensor_entry("correction.a", values))
+        with pytest.raises(IngestionError, match=r"correction\.a .*has shape") \
+                as info:
+            PacnModel.load(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_correction_rejected(self, tiny_ckpt, tmp_path,
+                                              value):
+        coeffs = np.ones(2049)
+        coeffs[100] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(tiny_ckpt.read_bytes()
+                         + tensor_entry("correction.a", coeffs))
+        with pytest.raises(IngestionError,
+                           match="coefficients must be positive") as info:
+            PacnModel.load(path)
+        assert str(path) in str(info.value)
+
+    def test_correction_for_mix_device_rejected(self, tiny_ckpt, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(tiny_ckpt.read_bytes()
+                         + tensor_entry("correction.mix", np.ones(2049)))
+        with pytest.raises(IngestionError, match="reserved") as info:
+            PacnModel.load(path)
+        assert str(path) in str(info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_flipped_correction_checkpoint_raises_only_pacn_error(
+            self, corrected_ckpt, data):
+        raw = corrected_ckpt.read_bytes()
+        if data.draw(st.booleans(), label="cut"):
+            bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            bad = bytearray(raw)
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                pos = data.draw(st.integers(0, len(raw) - 1), label="offset")
+                bad[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        path = corrected_ckpt.parent / "mutated.ckpt"
+        path.write_bytes(bytes(bad))
+        try:
+            model = PacnModel.load(path)
+        except PacnError:
+            return
+        assert len(bad) == len(raw)         # no cut loads
+        assert model.correction is not None
 
     def test_arn_clamp(self):
         model = PacnModel(PacnConfig(), seed=0)

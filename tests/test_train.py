@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 import threading
 
@@ -18,7 +19,8 @@ from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
 from pacn.manifest import parse_manifest, write_manifest
 from pacn.train import (Adam, METRICS_COLUMNS, TrainConfig, estimate_dataset_correction,
-                        extract_features, kd_loss, load_dataset, lr_at,
+                        extract_features, kd_loss, load_dataset,
+                        load_training_split, lr_at,
                         mean_teacher_kl, split_train_val, train_student_kd,
                         train_teacher, write_metrics)
 
@@ -339,23 +341,26 @@ class TestDatasets:
             split_train_val(tiny_ds, 1.0, seed=1)
 
     def test_exclude_device_partitions(self, tiny_manifest, tiny_ds):
-        kept = load_dataset(tiny_manifest, exclude_device="b")
-        others = np.array(tiny_ds.devices) != "b"
-        assert set(kept.devices) == {"a"}
+        kept, val, corr = load_training_split(tiny_manifest, 0.0, seed=0,
+                                              exclude_device="b")
+        others = np.flatnonzero(np.array(tiny_ds.devices) != "b")
+        assert len(val) == 0 and set(kept.devices) == {"a"}
         assert kept.names == tuple(np.array(tiny_ds.names)[others])
         np.testing.assert_array_equal(kept.labels, tiny_ds.labels[others])
-        np.testing.assert_array_equal(kept.features, tiny_ds.features[others])
+        np.testing.assert_array_equal(
+            kept.features, extract_features(tiny_ds.subset(others).clips, corr))
 
     def test_exclude_unknown_device_rejected(self, tiny_manifest):
         with pytest.raises(UsageError, match="zz"):
-            load_dataset(tiny_manifest, exclude_device="zz")
+            load_training_split(tiny_manifest, 0.0, seed=0,
+                                exclude_device="zz")
 
     def test_exclude_only_device_rejected(self, tiny_manifest):
         only_a = tiny_manifest.parent / "only_a.tsv"
         write_manifest(only_a, [r for r in parse_manifest(tiny_manifest)
                                 if r.device_id == "a"])
         with pytest.raises(UsageError, match="nothing left"):
-            load_dataset(only_a, exclude_device="a")
+            load_training_split(only_a, 0.0, seed=0, exclude_device="a")
 
     def test_empty_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty.tsv"
@@ -363,19 +368,60 @@ class TestDatasets:
         with pytest.raises(UsageError, match="no clips"):
             load_dataset(empty)
 
-    def test_correction_fitted_on_kept_clips(self, tiny_manifest):
-        ds = load_dataset(tiny_manifest, fit_correction=True,
-                          exclude_device="b")
-        assert sorted(ds.correction.coeffs) == ["a"]
+    def test_correction_fitted_on_kept_clips(self, tiny_manifest, tiny_ds,
+                                             monkeypatch):
+        # fitted once, on exactly the kept rows split_train_val trains on
+        fits = []
+        fit = pacn.train.estimate_dataset_correction
+
+        def counted(clips):
+            fits.append([c.device_id for c in clips])
+            return fit(clips)
+
+        monkeypatch.setattr(pacn.train, "estimate_dataset_correction", counted)
+        train, val, corr = load_training_split(tiny_manifest, 0.25, seed=0,
+                                               exclude_device="b")
+        assert fits == [list(train.devices)]
+        assert sorted(corr.coeffs) == ["a"]
+        kept = tiny_ds.subset(np.flatnonzero(np.array(tiny_ds.devices) != "b"))
+        train_ref, val_ref = split_train_val(kept, 0.25, seed=0)
+        assert (train.names, val.names) == (train_ref.names, val_ref.names)
         np.testing.assert_array_equal(
-            ds.features, extract_features(ds.clips, ds.correction))
-        train, val = split_train_val(ds, 0.25, seed=0)
-        assert train.correction is ds.correction is val.correction
+            train.features, extract_features(train_ref.clips, corr))
+        np.testing.assert_array_equal(
+            val.features, extract_features(val_ref.clips, corr))
+
+    def test_training_split_needs_training_rows(self, tiny_manifest,
+                                                tmp_path):
+        one = tmp_path / "one.tsv"
+        row = parse_manifest(tiny_manifest)[0]
+        write_manifest(one, [dataclasses.replace(
+            row, filename=str(tiny_manifest.parent / row.filename))])
+        with pytest.raises(UsageError, match="training dataset is empty"):
+            load_training_split(one, 0.6, seed=0)
 
     def test_no_correction_by_default(self, tiny_ds):
-        assert tiny_ds.correction is None
+        assert not hasattr(tiny_ds, "correction")
         np.testing.assert_array_equal(tiny_ds.features,
                                       extract_features(tiny_ds.clips))
+
+    def test_given_correction_applied_not_refitted(self, tiny_manifest,
+                                                   tiny_ds, monkeypatch):
+        corr = estimate_dataset_correction(tiny_ds.clips)
+        monkeypatch.setattr(pacn.train, "estimate_dataset_correction", None)
+        ds = load_dataset(tiny_manifest, correction=corr)
+        np.testing.assert_array_equal(
+            ds.features, extract_features(tiny_ds.clips, corr))
+
+    def test_unseen_device_warns_once_across_threads(self, tiny_ds, caplog):
+        corr = estimate_dataset_correction(
+            [c for c in tiny_ds.clips if c.device_id == "a"])
+        clips = [c for c in tiny_ds.clips if c.device_id == "b"] * 4
+        with caplog.at_level(logging.WARNING):
+            feats = extract_features(clips, corr, threads=4)
+        assert [r.getMessage() for r in caplog.records] \
+            == ["no spectrum correction for device 'b'; passing through"]
+        np.testing.assert_array_equal(feats, extract_features(clips))
 
     def test_correction_covers_all_devices(self, tiny_ds):
         corr = estimate_dataset_correction(tiny_ds.clips)
