@@ -56,7 +56,7 @@ def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         gm = g.reshape(n, co, f * t)
         if x.requires_grad:
-            _accum(x, np.matmul(w.data.T, gm).reshape(n, ci, f, t))
+            _accum(x, np.matmul(w.data.T, gm).reshape(n, ci, f, t), owned=True)
         _accum(w, np.matmul(gm, xm.swapaxes(1, 2)).sum(0))
         _accum(b, g.sum(axis=(0, 2, 3)))
 
@@ -141,8 +141,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1)) -> Tensor:
                     "ij,ij->i", gsb, xflat[c0:c1, base + o:base + o + size])
             dx_cm[c0:c1, s0:s1] = gpb[:, :m * plane].reshape(
                 cb, m, fp, tp)[:, :, pf0:pf0 + f, pt0:pt0 + t]
-        _accum(x, dx)
-        _accum(w, dw)
+        _accum(x, dx, owned=True)
+        _accum(w, dw, owned=True)
         _accum(b, g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, w, b), bw)
@@ -269,7 +269,7 @@ def maxpool2d(x: Tensor, window) -> Tensor:
             hit &= free
             free ^= hit
             np.multiply(g, hit, out=tap(dx, i, j))
-        _accum(x, dx)
+        _accum(x, dx, owned=True)
 
     return _make(out_data, (x,), bw)
 
@@ -385,7 +385,7 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor,
             drho = np.sum(gam * (gx_in - gxhat_in))
             _accum(rho, np.asarray(drho, dtype=rho.data.dtype))
             h_in = rho.data * gx_in + (1.0 - rho.data) * gxhat_in
-        _accum(x, dx)
+        _accum(x, dx, owned=True)
         _accum(gamma, _unbroadcast(h_in, gamma.data.shape))
         _accum(beta, _unbroadcast(g_in, beta.data.shape))
 

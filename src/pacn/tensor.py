@@ -4,7 +4,9 @@ Tensors wrap numpy arrays (float32 in production, float64 in the gradient
 check harness). Every differentiable operation records its parents and a
 backward closure on the output tensor; ``backward(loss)`` topologically
 sorts the recorded graph and runs one reverse sweep, accumulating ``.grad``
-on every tensor that requires it.
+on the trainable leaves. The sweep releases each node it passes (its
+``.grad``, closure and parents), so a graph is swept once: sweeping it
+again, or a new graph built on one of its nodes, raises ``UsageError``.
 
 Grad mode and the multiply tally are context variables, so each thread has
 its own: a worker running inference under ``no_grad()`` does not stop
@@ -146,12 +148,21 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add ``g`` into ``t.grad``.
+
+    ``owned=True`` hands over an array the op allocated for ``t`` alone
+    (same shape and dtype as ``t.data``, referenced nowhere else), so the
+    first gradient is kept as it is; otherwise it is copied, because ``g``
+    may be a view or the array another parent also receives. The copy
+    turns -0.0 into +0.0 and the owned array keeps the sign; the model's
+    parameter gradients and checkpoints are the same bits either way.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
         # one pass, and the out= array keeps a 0-d grad an ndarray
-        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+        t.grad = g if owned else np.add(g, 0, out=np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -169,8 +180,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _swept(g):
+    raise UsageError("graph already swept by backward(); build it again")
+
+
 def backward(loss: Tensor):
-    """Reverse sweep from a scalar loss; fills ``.grad`` on trainable leaves."""
+    """Reverse sweep from a scalar loss; fills ``.grad`` on trainable leaves.
+
+    Each node is released once its closure has run: its ``.grad``, closure
+    and parents are dropped, so the arrays only its backward read are freed
+    during the sweep and a swept node keeps nothing but its own ``.data``.
+    Leaves keep ``.grad``. The closure is replaced by a marker that raises
+    ``UsageError``, so the graph cannot be swept twice.
+    """
     if loss.data.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -189,9 +211,14 @@ def backward(loss: Tensor):
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        node._backward(node.grad)
+        node.grad = None
+        node._backward = _swept
+        node._parents = ()
 
 
 # -- elementary differentiable ops ----------------------------------------
@@ -261,7 +288,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def bw(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), owned=True)
 
     return _make(out_data, (a,), bw)
 

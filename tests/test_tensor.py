@@ -9,6 +9,7 @@ from pacn.errors import UsageError
 from pacn.gradcheck import check_gradients
 from pacn.tensor import (
     Tensor,
+    _accum,
     backward,
     concat,
     count_multiplies,
@@ -162,6 +163,50 @@ class TestElementaryGradients:
                 return (s * s).sum() + m.sum()
             return [a], fn
         assert_grads_ok(build)
+
+
+class TestSweep:
+    def test_inner_nodes_released_and_leaves_keep_grad(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        h = relu(a * 3.0)
+        loss = (h * h).sum()
+        backward(loss)
+        np.testing.assert_allclose(a.grad, [18.0, 0.0])
+        for t in (h, loss):
+            assert t.grad is None and t._parents == ()
+
+    def test_same_loss_swept_twice_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        loss = (a * a).sum()
+        backward(loss)
+        with pytest.raises(UsageError, match="already swept"):
+            backward(loss)
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
+    def test_node_of_swept_graph_in_new_loss_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        h = a * 2.0
+        backward(h.sum())
+        with pytest.raises(UsageError, match="already swept"):
+            backward((h * a).sum())
+
+    def test_owned_gradient_is_kept_and_others_copied(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3)
+        _accum(t, g, owned=True)
+        assert t.grad is g
+        u = Tensor(np.zeros(3), requires_grad=True)
+        _accum(u, g)
+        assert u.grad is not g and not np.shares_memory(u.grad, g)
+
+    def test_add_operands_get_separate_gradients(self):
+        # add passes the same array to both parents, so neither may own it
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        backward(((a + b) * 2.0).sum())
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
 class TestDeterminism:
