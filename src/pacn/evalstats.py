@@ -38,13 +38,21 @@ EVAL_BATCH = 64
 
 def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
     """Inference-mode logits for a (n, 256, 65, 2) feature stack, forwarded
-    ``EVAL_BATCH`` clips at a time."""
-    if len(features) == 0:
+    ``EVAL_BATCH`` clips at a time.
+
+    A one-row forward runs the head as a matrix-vector product, which sums
+    in another order than a batch, so a lone last row joins the chunk
+    before it: no clip's logits depend on the set's size.
+    """
+    n = len(features)
+    if n == 0:
         raise UsageError("empty feature set")
+    bounds = list(range(0, n, EVAL_BATCH))
+    if n > 1 and n % EVAL_BATCH == 1:
+        bounds.pop()
     return np.concatenate([
-        model(features_to_input(features[start:start + EVAL_BATCH]),
-              training=False).data
-        for start in range(0, len(features), EVAL_BATCH)])
+        model(features_to_input(features[a:b]), training=False).data
+        for a, b in zip(bounds, bounds[1:] + [n])])
 
 
 def predict(model: PacnModel, features: np.ndarray) -> np.ndarray:

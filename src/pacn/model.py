@@ -12,6 +12,7 @@ serial (LCI consumes the GCI tokens re-injected as a map), and no_fusion
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -99,6 +100,83 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
                           f"{num_classes} classes")
 
 
+def layers(config: PacnConfig) -> list[tuple]:
+    """The network's ``pacn profile`` rows in build order, for one
+    ``N_MELS`` x ``N_FRAMES`` clip, each as ``(row, kind, macs, params)``.
+
+    ``params`` lists the row's parameters as ``(path, shape, std, value)``:
+    a normal draw scaled by ``std`` if one is given, else the constant
+    ``value``. MACs follow the counting conventions of ``pacn.profiler``.
+    """
+    config.validate()
+    out = []
+
+    def add(row, kind, macs, *params):
+        out.append((row, kind, int(macs), [(f"{row}.{name}", shape, std, value)
+                                           for name, shape, std, value in params]))
+
+    def affine(c, gamma=1.0):
+        return ("gamma", (c,), None, gamma), ("beta", (c,), None, 0.0)
+
+    def arn(c):
+        return (("rho", (), None, 0.5),) + affine(c)
+
+    def fc(d_in, d_out, prefix="", gain=2.0):
+        return ((prefix + "weight", (d_in, d_out), np.sqrt(gain / d_in), None),
+                (prefix + "bias", (d_out,), None, 0.0))
+
+    def bsconv(path, c_in, c_out, positions):
+        add(f"{path}.pw", "conv", positions * c_out * c_in,
+            ("weight", (c_out, c_in), np.sqrt(2.0 / c_in), None),
+            ("bias", (c_out,), None, 0.0))
+        add(f"{path}.dw", "conv", positions * c_out * 9,
+            ("weight", (c_out, 3, 3), np.sqrt(2.0 / 9.0), None),
+            ("bias", (c_out,), None, 0.0))
+
+    f, t = N_MELS, N_FRAMES
+    c_in = config.in_channels
+    for i, (c_out, (pf, pt)) in enumerate(zip(config.pre_channels,
+                                              config.pre_pools)):
+        bsconv(f"pre.{i}", c_in, c_out, f * t)
+        if config.arn_enabled and i == 0:
+            add("pre.first_conv_arn", "norm", f * t * c_out, *arn(c_out))
+        add(f"pre.{i}.bn", "norm", f * t * c_out, *affine(c_out))
+        f, t = f // pf, t // pt
+        add(f"pre.{i}.pool", "maxpool", 0)
+        if config.arn_enabled:
+            add(f"pre.{i}.arn", "norm", f * t * c_out, *arn(c_out))
+        c_in = c_out
+    c_pre = c_in
+
+    d, hidden, tokens = config.gci_embed_dim, config.gci_mlp_hidden, t
+    add("gci.freq_pool", "avgpool", c_pre * tokens)
+    add("gci.proj", "fc", tokens * c_pre * d, *fc(c_pre, d))
+    add("gci.ln1", "norm", tokens * d, *affine(d))
+    add("gci.attn", "attention", 4 * tokens * d * d + 2 * tokens * tokens * d,
+        *[p for w in ("wq", "wk", "wv", "wo") for p in fc(d, d, f"{w}.", 1.0)])
+    add("gci.ln2", "norm", tokens * d, *affine(d))
+    add("gci.mlp.fc1", "fc", tokens * d * hidden, *fc(d, hidden))
+    add("gci.mlp.fc2", "fc", tokens * hidden * d, *fc(hidden, d))
+    add("gci.token_mean", "avgpool", d)
+    if config.wiring_mode == "serial":
+        add("gci.reinject", "fc", tokens * d * c_pre, *fc(d, c_pre))
+
+    for i, c_out in enumerate(config.lci_channels):
+        bsconv(f"lci.{i}", c_in, c_out, f * t)
+        add(f"lci.{i}.bn", "norm", f * t * c_out, *affine(c_out))
+        c_in = c_out
+    add("lci.grn", "norm", f * t * c_in, *affine(c_in, gamma=0.0))
+    add("lci.global_pool", "avgpool", c_in)
+
+    classes = config.num_classes
+    if config.wiring_mode == "no_fusion":
+        add("head.fc_gci", "fc", d * classes, *fc(d, classes))
+        add("head.fc_lci", "fc", c_in * classes, *fc(c_in, classes))
+    else:
+        add("head.fc", "fc", (d + c_in) * classes, *fc(d + c_in, classes))
+    return out
+
+
 def features_to_input(batch: np.ndarray) -> Tensor:
     """(n, 256, 65, 2) feature stack -> (n, 2, 256, 65) network input."""
     return Tensor(np.ascontiguousarray(batch.transpose(0, 3, 1, 2)))
@@ -113,93 +191,26 @@ class PacnModel:
 
     def __init__(self, config: PacnConfig, seed: int = 0,
                  dtype=np.float32):
-        config.validate()
         self.config = config
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         self.state: dict[str, dict] = {}
         self.correction: SpectrumCorrection | None = None
-        self._rng = derive_rng(seed, PURPOSE_INIT)
-        self._build()
-        del self._rng
+        self._build(seed)
 
-    # -- construction ------------------------------------------------------
-
-    def _param(self, path: str, shape, std: float | None = None,
-               value: float | None = None) -> Tensor:
-        if value is not None:
-            data = np.full(shape, value, dtype=self.dtype)
-        else:
-            data = (self._rng.standard_normal(shape) * std).astype(self.dtype)
-        t = Tensor(data, requires_grad=True)
-        self.params[path] = t
-        return t
-
-    def _conv_block(self, path: str, c_in: int, c_out: int):
-        self._param(f"{path}.pw.weight", (c_out, c_in),
-                    std=np.sqrt(2.0 / c_in))
-        self._param(f"{path}.pw.bias", (c_out,), value=0.0)
-        self._param(f"{path}.dw.weight", (c_out, 3, 3),
-                    std=np.sqrt(2.0 / 9.0))
-        self._param(f"{path}.dw.bias", (c_out,), value=0.0)
-
-    def _affine(self, path: str, c: int):
-        self._param(f"{path}.gamma", (c,), value=1.0)
-        self._param(f"{path}.beta", (c,), value=0.0)
-
-    def _bn_block(self, path: str, c: int):
-        self._affine(path, c)
-        self.state[path] = {"mean": np.zeros(c, dtype=self.dtype),
-                            "var": np.ones(c, dtype=self.dtype)}
-
-    def _arn_block(self, path: str, c: int):
-        self._param(f"{path}.rho", (), value=0.5)
-        self._affine(path, c)
-
-    def _fc_block(self, path: str, d_in: int, d_out: int):
-        self._param(f"{path}.weight", (d_in, d_out), std=np.sqrt(2.0 / d_in))
-        self._param(f"{path}.bias", (d_out,), value=0.0)
-
-    def _build(self):
-        cfg = self.config
-        c_in = cfg.in_channels
-        for i, c_out in enumerate(cfg.pre_channels):
-            self._conv_block(f"pre.{i}", c_in, c_out)
-            if cfg.arn_enabled and i == 0:
-                self._arn_block("pre.first_conv_arn", c_out)
-            self._bn_block(f"pre.{i}.bn", c_out)
-            if cfg.arn_enabled:
-                self._arn_block(f"pre.{i}.arn", c_out)
-            c_in = c_out
-        c_pre = c_in
-
-        d = cfg.gci_embed_dim
-        self._fc_block("gci.proj", c_pre, d)
-        self._affine("gci.ln1", d)
-        for name in ("wq", "wk", "wv", "wo"):
-            self._param(f"gci.attn.{name}.weight", (d, d),
-                        std=np.sqrt(1.0 / d))
-            self._param(f"gci.attn.{name}.bias", (d,), value=0.0)
-        self._affine("gci.ln2", d)
-        self._fc_block("gci.mlp.fc1", d, cfg.gci_mlp_hidden)
-        self._fc_block("gci.mlp.fc2", cfg.gci_mlp_hidden, d)
-        if cfg.wiring_mode == "serial":
-            self._fc_block("gci.reinject", d, c_pre)
-
-        c_in = c_pre
-        for i, c_out in enumerate(cfg.lci_channels):
-            self._conv_block(f"lci.{i}", c_in, c_out)
-            self._bn_block(f"lci.{i}.bn", c_out)
-            c_in = c_out
-        self._param("lci.grn.gamma", (c_in,), value=0.0)
-        self._param("lci.grn.beta", (c_in,), value=0.0)
-
-        c_lci = cfg.lci_channels[-1]
-        if cfg.wiring_mode == "no_fusion":
-            self._fc_block("head.fc_gci", d, cfg.num_classes)
-            self._fc_block("head.fc_lci", c_lci, cfg.num_classes)
-        else:
-            self._fc_block("head.fc", d + c_lci, cfg.num_classes)
+    def _build(self, seed: int):
+        """Allocate ``layers(config)``'s parameters in order, plus running
+        statistics for each batch-norm row."""
+        rng = derive_rng(seed, PURPOSE_INIT)
+        for row, _, _, params in layers(self.config):
+            for path, shape, std, value in params:
+                data = (np.full(shape, value, dtype=self.dtype) if std is None
+                        else (rng.standard_normal(shape) * std).astype(self.dtype))
+                self.params[path] = Tensor(data, requires_grad=True)
+            if row.endswith(".bn"):
+                c = self.params[f"{row}.gamma"].data.shape
+                self.state[row] = {"mean": np.zeros(c, dtype=self.dtype),
+                                   "var": np.ones(c, dtype=self.dtype)}
 
     # -- forward -----------------------------------------------------------
 
@@ -388,8 +399,8 @@ class PacnModel:
         if version != CHECKPOINT_VERSION:
             raise IngestionError(f"unsupported checkpoint version {version}")
         config = PacnConfig.from_json(reader.text("config"))
-        from . import profiler              # profiler imports this module
-        n_params = profiler.profile(config).total_params
+        n_params = sum(math.prod(shape) for _, _, _, params in layers(config)
+                       for _, shape, _, _ in params)
         if 4 * n_params > len(reader.raw) - reader.pos:
             # checked before the model is built, so a forged config cannot
             # allocate more memory than the file could fill

@@ -208,24 +208,20 @@ class Dataset:
                        names=tuple(self.names[i] for i in idx))
 
 
-def _clip_feature(clip: AudioClip,
-                  correction: SpectrumCorrection | None) -> np.ndarray:
-    """One clip's feature, device-corrected if a correction is given."""
-    return extract_feature(
-        clip, correction and correction.coeff_for(clip.device_id)).feature
+def _device_coeffs(clips, correction: SpectrumCorrection | None) -> dict:
+    """Each device's correction coefficients, looked up once, on the calling
+    thread and in first-appearance order, so an unseen device warns once.
+    A device absent from the result (an audio mix) passes uncorrected."""
+    if correction is None:
+        return {}
+    return {dev: correction.coeff_for(dev)
+            for dev in dict.fromkeys(c.device_id for c in clips)}
 
 
 def extract_features(clips, correction: SpectrumCorrection | None = None,
                      threads: int = 1) -> np.ndarray:
-    """Stack clean per-clip features, optionally device-corrected.
-
-    Each device's coefficients are looked up once, on the calling thread and
-    in first-appearance order, so an unseen device warns once per call.
-    """
-    coeffs = {}
-    if correction is not None:
-        coeffs = {dev: correction.coeff_for(dev)
-                  for dev in dict.fromkeys(c.device_id for c in clips)}
+    """Stack clean per-clip features, optionally device-corrected."""
+    coeffs = _device_coeffs(clips, correction)
 
     def one(clip):
         return extract_feature(clip, coeffs.get(clip.device_id)).feature
@@ -357,21 +353,20 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _batch_clips(ds: Dataset, idx, epoch: int, cfg: TrainConfig,
-                 correction: SpectrumCorrection | None, pools: dict[int, list]):
+                 coeffs: dict, pools: dict[int, list]):
     """Per-clip waveform augmentation; cached features reused when untouched."""
     feats = []
     for i in idx:
         clip = ds.clips[i]
         rng = derive_rng(cfg.seed, PURPOSE_AUGMENT, epoch, ds.names[i])
         out = augment_clip(clip, pools[int(ds.labels[i])], rng, cfg.augment)
-        feats.append(ds.features[i] if out is clip
-                     else _clip_feature(out, correction))
+        feats.append(ds.features[i] if out is clip else extract_feature(
+            out, coeffs.get(out.device_id)).feature)
     return np.stack(feats)
 
 
 def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
-             correction: SpectrumCorrection | None, pools: dict[int, list],
-             num_classes: int):
+             coeffs: dict, pools: dict[int, list], num_classes: int):
     """Every epoch's batches in order, as (b_idx, idx, x, y, teacher_logits).
 
     Shuffling, augmentation, features, mixup and the teacher forward never
@@ -383,7 +378,7 @@ def _batches(ds: Dataset, cfg: TrainConfig, teacher: PacnModel | None,
         order = derive_rng(cfg.seed, PURPOSE_SHUFFLE, epoch).permutation(n)
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            x_np = _batch_clips(ds, idx, epoch, cfg, correction, pools)
+            x_np = _batch_clips(ds, idx, epoch, cfg, coeffs, pools)
             y = _one_hot(ds.labels[idx], num_classes)
 
             mrng = derive_rng(cfg.seed, PURPOSE_MIXUP, epoch, b_idx)
@@ -422,7 +417,9 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
     pools: dict[int, list] = {}
     for i, clip in enumerate(train_ds.clips):
         pools.setdefault(int(train_ds.labels[i]), []).append(clip)
-    batches = _batches(train_ds, cfg, teacher, correction, pools, num_classes)
+    batches = _batches(train_ds, cfg, teacher,
+                       _device_coeffs(train_ds.clips, correction), pools,
+                       num_classes)
 
     metrics = []
     step = 0

@@ -1,4 +1,5 @@
 import csv
+import importlib.resources as res
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ from pacn.evalstats import (Q_ALPHA, draw_subsets, evaluate, format_eval_text,
                             friedman_test, nemenyi_cd, predict, rank_matrix,
                             rank_report, subset_accuracy_row, write_eval_csv,
                             write_rank_csv, write_rank_svg)
+from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
 
 
@@ -56,6 +58,18 @@ class TestPredict:
         logits = np.eye(10)[want] * 7.0
         preds = predict(StubModel(logits), stub_dataset(want).features)
         assert preds.tolist() == want
+
+    def test_lone_last_clip_joins_previous_chunk(self, monkeypatch):
+        # a 1-row forward sums the head FC in another order, so a lone last
+        # clip would give logits that depend on the set's size
+        monkeypatch.setattr(pacn.evalstats, "EVAL_BATCH", 3)
+        text = (res.files("pacn") / "configs" / "teacher.json").read_text()
+        model = PacnModel(PacnConfig.from_json(text), seed=0)
+        feats = np.random.default_rng(5).standard_normal(
+            (5, 256, 65, 2)).astype(np.float32)
+        four = pacn.evalstats.logits(model, feats[:4])
+        five = pacn.evalstats.logits(model, feats)
+        assert four.tobytes() == five[:4].tobytes()
 
 
 class TestEvaluate:

@@ -1,16 +1,30 @@
 """Profiler: closed-form counts, frozen totals, runtime cross-check."""
 
 import csv
+import dataclasses
+import importlib.resources as res
 
-import numpy as np
 import pytest
 
 from pacn import profiler
-from pacn.model import PacnConfig, PacnModel
+from pacn.model import WIRING_MODES, PacnConfig, PacnModel, layers
 
 TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
             gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4, shuffle_groups=2,
             num_classes=3)
+
+TEACHER = dict(pre_channels=[12, 64], lci_channels=[64, 64],
+               gci_embed_dim=64, gci_heads=4, gci_mlp_hidden=256)
+
+
+def packaged(name, **overrides):
+    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
+    return dataclasses.replace(PacnConfig.from_json(text), **overrides)
+
+
+PACKAGED_VARIANTS = [(name, mode, arn) for name in ("student", "teacher")
+                     for mode in WIRING_MODES
+                     for arn in (True, False)]
 
 
 def row(report, name):
@@ -65,11 +79,19 @@ class TestFrozenTotals:
         assert rep.total_macs == 1364832
 
     def test_teacher(self):
-        cfg = PacnConfig(pre_channels=[12, 64], lci_channels=[64, 64],
-                         gci_embed_dim=64, gci_heads=4, gci_mlp_hidden=256)
-        rep = profiler.profile(cfg)
+        rep = profiler.profile(PacnConfig(**TEACHER))
         assert rep.total_params == 67377
         assert rep.total_macs == 8850816
+
+    def test_student_parallel_without_arn(self):
+        rep = profiler.profile(PacnConfig(arn_enabled=False))
+        assert rep.total_params == 5143
+        assert rep.total_macs == 1304672
+
+    def test_teacher_parallel_without_arn(self):
+        rep = profiler.profile(PacnConfig(arn_enabled=False, **TEACHER))
+        assert rep.total_params == 67198
+        assert rep.total_macs == 8610176
 
     def test_acceptance_bands(self):
         rep = profiler.profile(PacnConfig())
@@ -83,18 +105,40 @@ class TestCrossRoutes:
         cfg = PacnConfig(wiring_mode=mode)
         assert profiler.profile(cfg).total_params == PacnModel(cfg, seed=0).num_params()
 
-    @pytest.mark.parametrize("mode", ["parallel", "serial", "no_fusion"])
-    def test_runtime_tally_matches_kernel_macs(self, mode):
-        check = profiler.verify_against_runtime(PacnConfig(wiring_mode=mode))
+    @pytest.mark.parametrize("mode,arn", [
+        pytest.param(mode, arn, id=mode if arn else f"{mode}-arn_off")
+        for arn in (True, False) for mode in WIRING_MODES])
+    def test_runtime_tally_matches_kernel_macs(self, mode, arn):
+        cfg = PacnConfig(wiring_mode=mode, arn_enabled=arn)
+        check = profiler.verify_against_runtime(cfg)
         assert check.matched, (check.runtime_macs, check.kernel_macs)
 
     def test_runtime_tally_on_tiny_config(self):
         cfg = PacnConfig(**TINY)
-        check = profiler.verify_against_runtime(cfg, in_shape=(32, 16))
+        check = profiler.verify_against_runtime(cfg)
         assert check.matched
 
     def test_tiny_config_stays_tiny(self):
         assert profiler.profile(PacnConfig(**TINY)).total_params <= 200
+
+
+class TestLayerTable:
+    """``model.layers`` is the one list the model and the profile read."""
+
+    @pytest.mark.parametrize("name,mode,arn", PACKAGED_VARIANTS)
+    def test_paths_are_the_model_parameters_in_order(self, name, mode, arn):
+        cfg = packaged(name, wiring_mode=mode, arn_enabled=arn)
+        paths = [p[0] for _, _, _, params in layers(cfg) for p in params]
+        assert paths == list(PacnModel(cfg, seed=0).params)
+
+    @pytest.mark.parametrize("name,mode,arn", PACKAGED_VARIANTS)
+    def test_row_params_are_the_sizes_under_its_prefix(self, name, mode, arn):
+        # the prefix rule perfbench's tracer maps parameters to rows by
+        cfg = packaged(name, wiring_mode=mode, arn_enabled=arn)
+        model = PacnModel(cfg, seed=0)
+        for r in profiler.profile(cfg).rows:
+            assert r.params == sum(t.data.size for path, t in model.params.items()
+                                   if path.startswith(r.name + ".")), r.name
 
 
 class TestReportOutput:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pacn import evalstats
 from pacn.augment import AugmentConfig
+import pacn.augment
 import pacn.train
 from pacn.errors import (ConfigError, IngestionError, PacnError, TrainingError,
                          UsageError)
@@ -464,6 +465,26 @@ class TestTrainingLoop:
                                 fast_cfg(augment=AugmentConfig()))
             res.model.save(tmp_path / name)
         assert (tmp_path / "one").read_bytes() == (tmp_path / "two").read_bytes()
+
+    def test_coefficients_looked_up_once_per_device(self, tiny_ds,
+                                                    monkeypatch):
+        # every clip is pitch-shifted, so the worker extracts every feature
+        corr = estimate_dataset_correction(tiny_ds.clips)
+        calls = []
+        lookup = pacn.augment.SpectrumCorrection.coeff_for
+
+        def recorded(self, device_id):
+            calls.append((device_id, threading.current_thread()))
+            return lookup(self, device_id)
+
+        monkeypatch.setattr(pacn.augment.SpectrumCorrection, "coeff_for",
+                            recorded)
+        train_teacher(tiny_config(), tiny_ds,
+                      fast_cfg(augment=AugmentConfig(
+                          mixup_prob=0.0, pitch_prob=1.0, audio_mix_prob=0.0)),
+                      correction=corr)
+        main = threading.main_thread()
+        assert calls == [("a", main), ("b", main)]
 
     def test_seed_changes_training(self, tiny_ds, tmp_path):
         a = train_teacher(tiny_config(), tiny_ds, fast_cfg(seed=0))
