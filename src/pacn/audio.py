@@ -31,7 +31,7 @@ LOG_FLOOR = 1e-10
 class AudioClip:
     samples: np.ndarray                     # float32, CLIP_SAMPLES at SAMPLE_RATE
     scene_label: int = -1
-    device_id: str = ""
+    device_id: str | None = ""              # None for an audio mix
     city: str = ""
 
 

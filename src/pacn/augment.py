@@ -20,7 +20,6 @@ log = logging.getLogger(__name__)
 
 PITCH_FACTORS = (0.90, 0.95, 1.05, 1.10)
 EPS_CORRECTION = 1e-8
-MIX_DEVICE_ID = "mix"
 
 
 @dataclass
@@ -70,9 +69,6 @@ class SpectrumCorrection:
     def __init__(self, coeffs: dict[str, np.ndarray]):
         self.coeffs: dict[str, np.ndarray] = {}
         for dev, c in coeffs.items():
-            if dev == MIX_DEVICE_ID:
-                raise UsageError(f"device id {dev!r} is reserved for "
-                                 "audio-mixed clips")
             with np.errstate(over="ignore"):    # overflow is rejected below
                 c = np.array(c, dtype=np.float32)
             if c.shape != (N_BINS,):
@@ -85,10 +81,7 @@ class SpectrumCorrection:
         self._warned: set[str] = set()
 
     def coeff_for(self, device_id: str) -> np.ndarray | None:
-        """The device's coefficients. An audio mix blends two devices, so it
-        and an unseen device (warned once) pass through uncorrected."""
-        if device_id == MIX_DEVICE_ID:
-            return None
+        """The device's coefficients, or None (warned once) for an unseen device."""
         c = self.coeffs.get(device_id)
         if c is None and device_id not in self._warned:
             self._warned.add(device_id)
@@ -129,7 +122,7 @@ def pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
 
 
 def audio_mix(clip_a: AudioClip, clip_b: AudioClip, w: float) -> AudioClip:
-    """Blend two same-class clips; the result carries a synthetic device id."""
+    """Blend two same-class clips; no one device recorded it: device_id None."""
     if clip_a.scene_label != clip_b.scene_label:
         raise UsageError(f"audio mix needs matching labels, got "
                          f"{clip_a.scene_label} and {clip_b.scene_label}")
@@ -137,7 +130,7 @@ def audio_mix(clip_a: AudioClip, clip_b: AudioClip, w: float) -> AudioClip:
         + (1.0 - w) * clip_b.samples.astype(np.float64)
     return AudioClip(samples=samples.astype(np.float32),
                      scene_label=clip_a.scene_label,
-                     device_id=MIX_DEVICE_ID, city=clip_a.city)
+                     device_id=None, city=clip_a.city)
 
 
 def augment_clip(clip: AudioClip, same_class_pool, rng: np.random.Generator,

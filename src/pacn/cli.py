@@ -31,7 +31,7 @@ from .model import PacnConfig, PacnModel
 from .profiler import profile, verify_against_runtime
 from .seeding import PURPOSE_AUGMENT, derive_rng
 from .synth import SynthSpec, generate_synth_dataset
-from .train import (TrainConfig, load_dataset, load_training_split,
+from .train import (TrainConfig, check_teacher, load_dataset, load_training_split,
                     train_student_kd, train_teacher, write_metrics)
 
 log = logging.getLogger(__name__)
@@ -66,9 +66,10 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     model_cfg = (PacnConfig.from_file(args.model_config)
                  if args.model_config else _packaged_config(f"{role}.json"))
-    # a bad teacher checkpoint fails before any WAV is read
-    teacher = (PacnModel.load(args.teacher)
-               if role == "student" and args.teacher else None)
+    teacher = None
+    if role == "student":       # a teacher error fails before any WAV is read
+        teacher = PacnModel.load(args.teacher) if args.teacher else None
+        check_teacher(model_cfg, teacher, cfg)
     train_ds, val_ds, correction = load_training_split(
         args.manifest, args.val_fraction, cfg.seed, args.threads,
         args.exclude_device)
@@ -91,16 +92,10 @@ def cmd_eval(args) -> int:
     model = PacnModel.load(args.ckpt)
     ds = load_dataset(args.manifest, args.threads,
                       None if args.no_correction else model.correction)
-    unseen = ()
-    if args.held_out_device is not None:
-        if args.held_out_device not in ds.devices:
-            raise UsageError(f"device {args.held_out_device!r} does not appear "
-                             "in the manifest")
-        unseen = (args.held_out_device,)
     if args.subset_scores:
         seed = args.seed if args.seed is not None else 0
         subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
-    result = evaluate(model, ds, unseen_devices=unseen)
+    result = evaluate(model, ds)
     print(format_eval_text(result))
     if args.report:
         write_eval_csv(args.report, result)
@@ -255,11 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--held-out-device", default=None,
-                   help="mark this device as unseen in the report")
     p.add_argument("--report", default=None, help="write a CSV report here")
     p.add_argument("--no-correction", action="store_true",
-                   help="ignore the checkpoint's spectrum correction")
+                   help="do not apply the checkpoint's spectrum correction "
+                        "(its devices still decide which are unseen)")
     p.add_argument("--subset-scores", default=None,
                    help="write a per-subset accuracy row (significance input)")
     p.add_argument("--method-name", default="model")

@@ -77,8 +77,9 @@ class EvalResult:
     unseen_devices: tuple[str, ...] = ()
 
 
-def evaluate(model: PacnModel, dataset, unseen_devices=()) -> EvalResult:
-    """Accuracy breakdown for any object with features/labels/devices."""
+def evaluate(model: PacnModel, dataset) -> EvalResult:
+    """Accuracy breakdown for any object with features/labels/devices; a device
+    the model did not train on (no correction entry) is marked unseen."""
     if len(dataset.labels) == 0:
         raise UsageError("cannot evaluate an empty dataset")
     labels = np.asarray(dataset.labels)
@@ -90,20 +91,20 @@ def evaluate(model: PacnModel, dataset, unseen_devices=()) -> EvalResult:
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
 
-    per_device = {}
-    for dev in sorted(set(dataset.devices)):
-        mask = np.array([d == dev for d in dataset.devices])
-        per_device[dev] = float(correct[mask].mean())
-    per_class = {}
-    for c in np.unique(labels):
-        per_class[_class_name(int(c))] = float(correct[labels == c].mean())
+    devs = dataset.devices
+    per_device = {dev: float(correct[np.array([d == dev for d in devs])].mean())
+                  for dev in sorted(set(devs))}
+    unseen = () if model.correction is None else tuple(
+        d for d in per_device if d not in model.correction.coeffs)
+    per_class = {_class_name(int(c)): float(correct[labels == c].mean())
+                 for c in np.unique(labels)}
 
     return EvalResult(overall_accuracy=float(correct.mean()),
                       per_device_accuracy=per_device,
                       per_class_accuracy=per_class,
                       confusion=confusion,
                       predictions=preds,
-                      unseen_devices=tuple(unseen_devices))
+                      unseen_devices=unseen)
 
 
 def format_eval_text(result: EvalResult) -> str:
@@ -261,6 +262,7 @@ def write_rank_csv(path, report: RankReport):
                             + [int(v) for v in report.histogram[i]])
 
 
+LEGEND_ROW = 6                          # legend entries per 720-px row
 PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
            "#aa3377", "#bbbbbb", "#222255", "#225555", "#553311")
 
@@ -279,7 +281,8 @@ def write_rank_svg(path, report: RankReport):
     bar_w = max(4.0, min(18.0, (width - 2 * pad) / (k * k) - 2.0))
     hist_h = 160.0
     cd_h = 60.0 + 16.0 * k
-    height = hist_h + cd_h + 80.0
+    extra = 16.0 * ((k - 1) // LEGEND_ROW)      # legend rows past the first
+    height = hist_h + cd_h + 80.0 + extra
     peak = max(1, int(report.histogram.max()))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -302,12 +305,14 @@ def write_rank_svg(path, report: RankReport):
                          f'width="{bar_w:.2f}" height="{h:.2f}" '
                          f'fill="{PALETTE[i % len(PALETTE)]}"/>')
     for i, name in enumerate(report.method_names):
-        parts.append(f'<rect x="{pad + 120.0 * i:.2f}" y="{base_y + 26.0:.2f}" '
-                     f'width="10" height="10" fill="{PALETTE[i % len(PALETTE)]}"/>')
-        parts.append(_svg_text(pad + 120.0 * i + 14.0, base_y + 35.0, name))
+        x = pad + 120.0 * (i % LEGEND_ROW)
+        y = base_y + 26.0 + 16.0 * (i // LEGEND_ROW)
+        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="10" height="10" '
+                     f'fill="{PALETTE[i % len(PALETTE)]}"/>')
+        parts.append(_svg_text(x + 14.0, y + 9.0, name))
 
     # CD diagram panel: axis from rank 1 to k, one tick per method
-    axis_y = base_y + 80.0
+    axis_y = base_y + 80.0 + extra
     span = max(k - 1, 1)
 
     def ax(rank: float) -> float:

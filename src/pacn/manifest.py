@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .augment import MIX_DEVICE_ID
 from .errors import IngestionError, read_text
 
 SCENE_LABELS = (
@@ -58,9 +57,6 @@ def parse_manifest(path) -> list[ManifestRow]:
         if label not in LABEL_INDEX:
             raise IngestionError(f"{path}:{lineno}: unknown scene label "
                                  f"{label!r}")
-        if device == MIX_DEVICE_ID:
-            raise IngestionError(f"{path}:{lineno}: device id {device!r} is "
-                                 "reserved for audio-mixed clips")
         rows.append(ManifestRow(filename, label, device, city))
     return rows
 

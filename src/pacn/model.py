@@ -177,6 +177,10 @@ def layers(config: PacnConfig) -> list[tuple]:
     return out
 
 
+def _param_count(table) -> int:
+    return sum(math.prod(s) for *_, params in table for _, s, _, _ in params)
+
+
 def features_to_input(batch: np.ndarray) -> Tensor:
     """(n, 256, 65, 2) feature stack -> (n, 2, 256, 65) network input."""
     return Tensor(np.ascontiguousarray(batch.transpose(0, 3, 1, 2)))
@@ -196,7 +200,11 @@ class PacnModel:
         self.params: dict[str, Tensor] = {}
         self.state: dict[str, dict] = {}
         self.correction: SpectrumCorrection | None = None
-        self._build(seed)
+        try:
+            self._build(seed)
+        except MemoryError:
+            raise ConfigError(f"config needs {_param_count(layers(config))} "
+                              "parameters, more than memory can hold") from None
 
     def _build(self, seed: int):
         """Allocate ``layers(config)``'s parameters in order, plus running
@@ -399,8 +407,7 @@ class PacnModel:
         if version != CHECKPOINT_VERSION:
             raise IngestionError(f"unsupported checkpoint version {version}")
         config = PacnConfig.from_json(reader.text("config"))
-        n_params = sum(math.prod(shape) for _, _, _, params in layers(config)
-                       for _, shape, _, _ in params)
+        n_params = _param_count(layers(config))
         if 4 * n_params > len(reader.raw) - reader.pos:
             # checked before the model is built, so a forged config cannot
             # allocate more memory than the file could fill

@@ -211,7 +211,7 @@ class Dataset:
 def _device_coeffs(clips, correction: SpectrumCorrection | None) -> dict:
     """Each device's correction coefficients, looked up once, on the calling
     thread and in first-appearance order, so an unseen device warns once.
-    A device absent from the result (an audio mix) passes uncorrected."""
+    An audio mix has no device: ``get(None)`` gives it no coefficients."""
     if correction is None:
         return {}
     return {dev: correction.coeff_for(dev)
@@ -400,10 +400,6 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
     cfg.validate()
     if len(train_ds) == 0:
         raise UsageError("training dataset is empty")
-    lam = cfg.kd_lambda
-    if lam < 1.0 and teacher is None:
-        raise UsageError("kd_lambda < 1 requires a teacher model")
-
     num_classes = model_cfg.num_classes
     check_labels(train_ds.labels, num_classes)
     model = PacnModel(model_cfg, seed=cfg.seed)
@@ -434,7 +430,7 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
                 b_idx, idx, x, y, teacher_logits = ahead.result()
                 ahead = worker.submit(next, batches, None)
                 logits = model(x, training=True)
-                parts = kd_loss(logits, y, teacher_logits, lam,
+                parts = kd_loss(logits, y, teacher_logits, cfg.kd_lambda,
                                 cfg.kd_temperature)
                 total_val = float(parts.total.data)
                 if not math.isfinite(total_val):
@@ -479,14 +475,22 @@ def train_teacher(model_cfg: PacnConfig, train_ds: Dataset, cfg: TrainConfig,
                   correction=correction)
 
 
+def check_teacher(model_cfg: PacnConfig, teacher: PacnModel | None,
+                  cfg: TrainConfig) -> None:
+    """kd_lambda < 1 needs a teacher, and it must predict the student's classes."""
+    if cfg.validate().kd_lambda < 1.0 and teacher is None:
+        raise UsageError("kd_lambda < 1 requires a teacher model")
+    if teacher is not None and teacher.config.num_classes != model_cfg.num_classes:
+        raise ConfigError(f"teacher predicts {teacher.config.num_classes} "
+                          f"classes, student {model_cfg.num_classes}")
+
+
 def train_student_kd(model_cfg: PacnConfig, teacher: PacnModel | None,
                      train_ds: Dataset, cfg: TrainConfig,
                      val_ds: Dataset | None = None,
                      correction: SpectrumCorrection | None = None) -> TrainResult:
     """Distill a (frozen, inference-mode) teacher into a fresh student."""
-    if teacher is not None and teacher.config.num_classes != model_cfg.num_classes:
-        raise ConfigError(f"teacher predicts {teacher.config.num_classes} "
-                          f"classes, student {model_cfg.num_classes}")
+    check_teacher(model_cfg, teacher, cfg)
     return _train(model_cfg, train_ds, val_ds, cfg, teacher=teacher,
                   correction=correction)
 

@@ -66,10 +66,6 @@ class TestSpectrumCorrection:
         with pytest.raises(UsageError, match="positive and finite"):
             augment.SpectrumCorrection({"a": np.full(2049, value)})
 
-    def test_mix_device_rejected(self):
-        with pytest.raises(UsageError, match="reserved"):
-            augment.SpectrumCorrection({augment.MIX_DEVICE_ID: np.ones(2049)})
-
     def test_single_device_gets_unit_coefficients(self):
         sc = augment.estimate_correction({"a": np.full((1, 2049), 2.0)})
         np.testing.assert_allclose(sc.coeffs["a"], 1.0, rtol=1e-6)
@@ -115,12 +111,6 @@ class TestSpectrumCorrection:
             assert sc.coeff_for("mystery") is None
         assert sum("mystery" in r.getMessage() for r in caplog.records) == 1
 
-    def test_audio_mix_passes_through_without_warning(self, caplog):
-        sc = augment.SpectrumCorrection({"a": np.ones(2049)})
-        with caplog.at_level(logging.WARNING):
-            assert sc.coeff_for(augment.MIX_DEVICE_ID) is None
-        assert not caplog.records
-
     def test_coefficients_must_be_positive(self):
         bad = np.ones(2049)
         bad[7] = 0.0
@@ -161,7 +151,7 @@ class TestAudioMix:
         a = AudioClip(samples=tone(200), scene_label=3)
         out = augment.audio_mix(a, a, w=0.5)
         np.testing.assert_array_equal(out.samples, a.samples)
-        assert out.device_id == "mix"
+        assert out.device_id is None
         assert out.scene_label == 3
 
     def test_label_mismatch_rejected(self):

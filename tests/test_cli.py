@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import logging
+import pathlib
+import shlex
 import shutil
 import xml.etree.ElementTree as ET
 
@@ -147,6 +149,27 @@ class TestTraining:
                    "--out", tmp_path / "s.ckpt") == 1
         assert "teacher" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("num_classes, teacher, message", [
+        (3, False, "kd_lambda < 1 requires a teacher model"),
+        (5, True, "teacher predicts 3 classes, student 5"),
+    ])
+    def test_teacher_errors_fail_before_reading_wavs(
+            self, work, tmp_path, capsys, monkeypatch, num_classes, teacher,
+            message):
+        # train.json leaves kd_lambda at its default, 0.226
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(dict(TINY_MODEL, num_classes=num_classes)))
+        err = fails_cleanly(capsys, "--quiet", "train-student",
+                            "--config", work / "train.json",
+                            "--model-config", model,
+                            "--manifest", work / "data" / "manifest.tsv",
+                            *(["--teacher", work / "teacher.ckpt"] if teacher
+                              else []),
+                            "--out", tmp_path / "s.ckpt")
+        assert message in err
+        assert calls == []
+
     def test_truncated_teacher_fails_before_reading_wavs(self, work, tmp_path,
                                                          capsys, monkeypatch):
         calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
@@ -197,6 +220,32 @@ class TestTraining:
         assert sorted(pacn.model.PacnModel.load(
             tmp_path / "x.ckpt").correction.coeffs) == ["a"]
 
+    def test_device_named_mix_is_an_ordinary_device(self, work, tmp_path):
+        # device "b" renamed "mix": the same clips, so the same checkpoint
+        # but for the correction entry's name
+        manifest = work / "data" / "manifest.tsv"
+        renamed = tmp_path / "mix.tsv"
+        write_manifest(renamed, [dataclasses.replace(
+            r, filename=str(manifest.parent / r.filename),
+            device_id="mix" if r.device_id == "b" else r.device_id)
+            for r in parse_manifest(manifest)])
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", renamed, "--out", tmp_path / "m.ckpt",
+                   "--val-fraction", "0.25") == 0
+        model = pacn.model.PacnModel.load(tmp_path / "m.ckpt")
+        teacher = pacn.model.PacnModel.load(work / "teacher.ckpt")
+        assert list(model.correction.coeffs) == ["a", "mix"]
+        np.testing.assert_array_equal(model.correction.coeffs["mix"],
+                                      teacher.correction.coeffs["b"])
+        for path, t in teacher.params.items():
+            np.testing.assert_array_equal(model.params[path].data, t.data)
+        assert run("--quiet", "eval", "--ckpt", tmp_path / "m.ckpt",
+                   "--manifest", renamed, "--report", tmp_path / "r.csv") == 0
+        with open(tmp_path / "r.csv", newline="") as fh:
+            assert [r[:2] for r in csv.reader(fh) if r[0].startswith("device")] \
+                == [["device", "a"], ["device", "mix"]]
+
     def test_missing_config_reports_path(self, work, capsys):
         assert run("train-teacher", "--config", "no_such_config.json",
                    "--model-config", work / "model.json",
@@ -216,19 +265,26 @@ class TestEval:
             == (tmp_path / "b.csv").read_bytes()
 
     def test_held_out_device_marked(self, work, tmp_path):
-        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
-                   "--manifest", work / "data" / "manifest.tsv",
-                   "--held-out-device", "b",
-                   "--report", tmp_path / "r.csv") == 0
-        with open(tmp_path / "r.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert any(r[0] == "device_unseen" and r[1] == "b" for r in rows)
+        # the checkpoint's correction names its training devices; the
+        # teacher trained on both, x.ckpt on "a" alone
+        manifest = work / "data" / "manifest.tsv"
+        assert run("--quiet", "train-teacher", "--config", work / "train.json",
+                   "--model-config", work / "model.json",
+                   "--manifest", manifest, "--out", tmp_path / "x.ckpt",
+                   "--exclude-device", "b") == 0
 
-    def test_unknown_held_out_device_fails(self, work, capsys):
-        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
-                   "--manifest", work / "data" / "manifest.tsv",
-                   "--held-out-device", "zz") == 1
-        assert "zz" in capsys.readouterr().err
+        def device_sections(ckpt, *flags):
+            assert run("--quiet", "eval", "--ckpt", ckpt, "--manifest", manifest,
+                       *flags, "--report", tmp_path / "r.csv") == 0
+            with open(tmp_path / "r.csv", newline="") as fh:
+                return [r[:2] for r in csv.reader(fh)
+                        if r[0].startswith("device")]
+
+        for flags in ([], ["--no-correction"]):
+            assert device_sections(tmp_path / "x.ckpt", *flags) \
+                == [["device", "a"], ["device_unseen", "b"]]
+            assert device_sections(work / "teacher.ckpt", *flags) \
+                == [["device", "a"], ["device", "b"]]
 
     def test_reads_each_wav_once(self, work, monkeypatch):
         calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
@@ -326,7 +382,7 @@ class TestEval:
         fits = count_fits(monkeypatch)
         with caplog.at_level(logging.WARNING):
             assert run("--quiet", "eval", "--ckpt", tmp_path / "x.ckpt",
-                       "--manifest", manifest, "--held-out-device", "b",
+                       "--manifest", manifest,
                        "--report", tmp_path / "all.csv") == 0
         assert run("--quiet", "eval", "--ckpt", tmp_path / "x.ckpt",
                    "--manifest", seen_only,
@@ -384,6 +440,20 @@ class TestProfile:
         with open(tmp_path / "p.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["layer", "kind", "params", "macs"]
+
+    def test_config_too_large_to_allocate(self, work, tmp_path, capsys):
+        # the table needs no allocation; a model of 3.3e13 parameters cannot
+        # be mapped at all, so building one fails before touching memory
+        big = tmp_path / "big.json"
+        big.write_text('{"num_classes": 1000000000000}')
+        assert run("profile", "--config", big) == 0
+        assert "33000000004860" in capsys.readouterr().out
+        err = fails_cleanly(capsys, "profile", "--config", big, "--check")
+        assert "needs 33000000004860 parameters" in err
+        fails_cleanly(capsys, "--quiet", "train-teacher",
+                      "--config", work / "train.json", "--model-config", big,
+                      "--manifest", work / "data" / "manifest.tsv",
+                      "--out", tmp_path / "t.ckpt")
 
 
 class TestSignificance:
@@ -522,6 +592,18 @@ class TestAugmentPreview:
 
 
 class TestArgHandling:
+    def test_readme_quick_start_parses(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Quick start", 1)[1] \
+            .split("```sh\n", 1)[1].split("```", 1)[0]
+        parser = pacn.cli.build_parser()
+        parsed = [parser.parse_args(shlex.split(line, comments=True)[1:])
+                  for line in block.replace("\\\n", " ").splitlines()
+                  if line.startswith("pacn ")]
+        assert {args.command for args in parsed} == {
+            "synth-data", "train-teacher", "train-student", "eval",
+            "significance", "profile", "augment-preview"}
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["distill-everything"])

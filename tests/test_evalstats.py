@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pacn.evalstats
+from pacn.augment import SpectrumCorrection
 from pacn.errors import ConfigError, UsageError
 from pacn.evalstats import (Q_ALPHA, draw_subsets, evaluate, format_eval_text,
                             friedman_test, nemenyi_cd, predict, rank_matrix,
@@ -19,11 +20,14 @@ from pacn.tensor import Tensor
 
 
 class StubModel:
-    """Duck-typed classifier emitting scripted logits batch by batch."""
+    """Duck-typed classifier emitting scripted logits batch by batch, with
+    a spectrum correction for each of its training devices, if any."""
 
-    def __init__(self, logits, num_classes=10):
+    def __init__(self, logits, num_classes=10, devices=None):
         self.logits = np.asarray(logits, dtype=np.float32)
         self.config = SimpleNamespace(num_classes=num_classes)
+        self.correction = (None if devices is None else SpectrumCorrection(
+            {d: np.ones(2049) for d in devices}))
         self.cursor = 0
 
     def __call__(self, x, training=False):
@@ -120,10 +124,11 @@ class TestEvaluate:
             evaluate(model, stub_dataset([0, 5, 1]))
 
     def test_text_and_csv_outputs(self, tmp_path):
+        # trained on "a" alone, so "s1" is unseen
         labels = [0, 1, 0, 1]
-        model = StubModel(np.eye(10)[[0, 1, 1, 1]] * 5.0)
-        result = evaluate(model, stub_dataset(labels, ["a", "a", "s1", "s1"]),
-                          unseen_devices=("s1",))
+        model = StubModel(np.eye(10)[[0, 1, 1, 1]] * 5.0, devices=["a"])
+        result = evaluate(model, stub_dataset(labels, ["a", "a", "s1", "s1"]))
+        assert result.unseen_devices == ("s1",)
         text = format_eval_text(result)
         assert "overall accuracy: 0.7500" in text
         assert "device s1 (unseen)" in text
@@ -134,6 +139,15 @@ class TestEvaluate:
         assert rows[0] == ["section", "key", "value"]
         assert ["device_unseen", "s1", repr(0.5)] in rows
         assert any(r[0] == "confusion" and r[1] == "airport" for r in rows)
+
+    @pytest.mark.parametrize("devices", [["a", "s1"], ["s1", "a", "b"], None])
+    def test_no_device_unseen(self, devices):
+        # trained on every device of the dataset, or with no correction at all
+        model = StubModel(np.eye(10)[[0, 1, 1, 1]] * 5.0, devices=devices)
+        result = evaluate(model, stub_dataset([0, 1, 0, 1],
+                                              ["a", "a", "s1", "s1"]))
+        assert result.unseen_devices == ()
+        assert "unseen" not in format_eval_text(result)
 
 
 class TestRanks:
@@ -311,3 +325,28 @@ class TestRankReport:
         write_rank_svg(path, rank_report(ladder_scores(), names))
         texts = [t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b<c" in texts and "m2>" in texts
+
+    def test_svg_legend_inside_the_canvas(self, tmp_path):
+        names = [f"method{i}" for i in range(10)]
+        scores = np.random.default_rng(5).uniform(0.5, 1.0, (10, 20))
+        path = tmp_path / "r.svg"
+        write_rank_svg(path, rank_report(scores, names))
+        root = ET.parse(path).getroot()
+        width, height = float(root.get("width")), float(root.get("height"))
+        ns = "{http://www.w3.org/2000/svg}"
+        swatches = [r for r in root.iter(ns + "rect") if r.get("width") == "10"]
+        labels = [t for t in root.iter(ns + "text") if t.text in names]
+        assert len(swatches) == 10 and len(labels) == 10
+        for item in swatches + labels:
+            assert 0 <= float(item.get("x")) < width
+            assert 0 <= float(item.get("y")) < height
+        # the legend's last row stays above the CD panel's axis labels
+        axis_label_y = min(float(t.get("y")) for t in root.iter(ns + "text")
+                           if t.text == "1")
+        assert max(float(t.get("y")) for t in labels) < axis_label_y
+
+    def test_svg_with_one_legend_row_keeps_its_bytes(self, tmp_path):
+        path = tmp_path / "r.svg"
+        write_rank_svg(path, rank_report(ladder_scores()[:3], ["m1", "m2", "m3"]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "89e22a7e17b5356e6f0911d3ba9d071704827a3fc85ee1627482cbdd7b6d3f27"

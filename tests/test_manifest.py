@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacn.augment import MIX_DEVICE_ID
 from pacn.errors import IngestionError, PacnError
 from pacn.manifest import (COLUMNS, LABEL_INDEX, SCENE_LABELS, ManifestRow,
                            parse_manifest, write_manifest)
@@ -99,14 +98,6 @@ class TestErrors:
         path.write_text("\t".join(COLUMNS) + "\n"
                         "a.wav\tbus\ta\tparis\textra\n")
         with pytest.raises(IngestionError, match=r":2"):
-            parse_manifest(path)
-
-    def test_mix_device_rejected_with_line(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("\t".join(COLUMNS) + "\n"
-                        "a.wav\tbus\ta\tparis\n"
-                        f"b.wav\tbus\t{MIX_DEVICE_ID}\tparis\n")
-        with pytest.raises(IngestionError, match=r":3: .*'mix'.*reserved"):
             parse_manifest(path)
 
     def test_non_utf8_row_rejected(self, tmp_path):

@@ -424,6 +424,32 @@ class TestDatasets:
             == ["no spectrum correction for device 'b'; passing through"]
         np.testing.assert_array_equal(feats, extract_features(clips))
 
+    def test_audio_mix_passes_through_without_warning(self, tiny_ds, caplog,
+                                                      monkeypatch):
+        # a mix has no device: the batch worker finds no coefficients for it
+        # and the correction is never asked, so nothing warns
+        corr = estimate_dataset_correction(tiny_ds.clips)
+        coeffs = pacn.train._device_coeffs(tiny_ds.clips, corr)
+        pools = {}
+        for clip, label in zip(tiny_ds.clips, tiny_ds.labels):
+            pools.setdefault(int(label), []).append(clip)
+        seen = []
+        extract = pacn.train.extract_feature
+
+        def spy(clip, spectrum_coeffs=None):
+            seen.append((clip.device_id, spectrum_coeffs))
+            return extract(clip, spectrum_coeffs)
+
+        monkeypatch.setattr(pacn.train, "extract_feature", spy)
+        cfg = fast_cfg(augment=AugmentConfig(mixup_prob=0.0, pitch_prob=0.0,
+                                             audio_mix_prob=1.0))
+        with caplog.at_level(logging.WARNING):
+            pacn.train._batch_clips(tiny_ds, range(len(tiny_ds)), 1, cfg,
+                                    coeffs, pools)
+        assert len(seen) == len(tiny_ds)
+        assert all(dev is None and c is None for dev, c in seen)
+        assert not caplog.records
+
     def test_correction_covers_all_devices(self, tiny_ds):
         corr = estimate_dataset_correction(tiny_ds.clips)
         assert sorted(corr.coeffs) == ["a", "b"]
@@ -505,6 +531,10 @@ class TestTrainingLoop:
         with pytest.raises(UsageError, match="teacher"):
             train_student_kd(tiny_config(), None, tiny_ds,
                              fast_cfg(kd_lambda=0.5))
+        # an out-of-range weight is named as such, not as a missing teacher
+        with pytest.raises(ConfigError, match=r"kd_lambda must lie in \[0, 1\]"):
+            train_student_kd(tiny_config(), None, tiny_ds,
+                             fast_cfg(kd_lambda=-0.5))
 
     def test_class_count_mismatch_rejected(self, tiny_ds):
         teacher = PacnModel(tiny_config(num_classes=4))
