@@ -40,49 +40,57 @@ class FeatureClip:
     feature: np.ndarray                     # (256, 65, 2) float32
 
 
-def to_clip(samples: np.ndarray, ratio: float) -> np.ndarray:
+def to_clip(samples, ratio: float, convert=np.asarray) -> np.ndarray:
     """Resample by linear interpolation (length scales by ``ratio``), then
     center-crop long clips and trailing-zero-pad short ones to one float32
-    clip. Only the kept positions are interpolated, so the work stays within
-    one clip whatever the ratio."""
+    clip. Only the kept positions are interpolated, and only the input frames
+    they read are passed through ``convert`` (raw frames to float samples),
+    so the work stays within one clip whatever the ratio or input length."""
     n_in = len(samples)
     n_out = round(n_in * ratio)
     start = max(n_out - CLIP_SAMPLES, 0) // 2
     m = min(n_out, CLIP_SAMPLES)
-    if n_out == n_in:
-        kept = samples[start:start + m]
+    if n_out == n_in or m == 0:             # no resampling, or nothing kept
+        kept = convert(samples[start:start + m])
     else:
         pos = (np.arange(m, dtype=np.float64) + float(start)) / ratio
-        kept = np.interp(pos, np.arange(n_in, dtype=np.float64), samples)
+        # the frames around the kept positions, at their absolute indices
+        lo, hi = min(int(pos[0]), n_in - 1), min(int(pos[-1]) + 2, n_in)
+        kept = np.interp(pos, np.arange(lo, hi, dtype=np.float64),
+                         convert(samples[lo:hi]))
     clip = np.zeros(CLIP_SAMPLES, dtype=np.float32)
     clip[:m] = kept
     return clip
 
 
 def read_wav(path, scene_label: int = -1, device_id: str = "", city: str = "") -> AudioClip:
-    """Read a PCM WAV file as a mono, [-1,1]-scaled, 1 s clip."""
+    """Read a PCM WAV file as a mono, [-1,1]-scaled, 1 s clip.
+
+    Only the frames the clip keeps are scaled and mixed down."""
     try:
         rate, data = scipy.io.wavfile.read(path)
     except Exception as e:
         raise IngestionError(f"cannot read WAV file {path}: {e}") from None
     if rate == 0:
         raise IngestionError(f"sample rate 0 in {path}")
-    if data.dtype == np.int16:
-        x = data / 32768.0
-    elif data.dtype == np.int32:
-        x = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        x = (data.astype(np.float64) - 128.0) / 128.0
+    if data.dtype == np.uint8:
+        offset, full_scale = 128.0, 128.0
+    elif data.dtype in (np.int16, np.int32):
+        offset, full_scale = 0.0, float(2 ** (8 * data.itemsize - 1))
     elif data.dtype.kind == "f":
-        # a signalling NaN warns in the cast; non-finite clips are rejected below
-        with np.errstate(invalid="ignore"):
-            x = data.astype(np.float64)
+        offset, full_scale = 0.0, 1.0
     else:
         raise IngestionError(f"unsupported sample format {data.dtype} in {path}")
-    if x.ndim == 2:
-        x = x.mean(axis=1)
-    with np.errstate(over="ignore"):        # overflow is rejected below
-        samples = to_clip(x, SAMPLE_RATE / rate)
+
+    def mono(frames):
+        x = np.subtract(frames, offset, dtype=np.float64)
+        x /= full_scale
+        return x.mean(axis=1) if x.ndim == 2 else x
+
+    # a signalling NaN warns in the float64 cast and a huge sample overflows
+    # the float32 clip; both leave non-finite samples, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = to_clip(data, SAMPLE_RATE / rate, mono)
     if not np.isfinite(samples).all():
         raise IngestionError(f"non-finite samples in {path}")
     return AudioClip(samples=samples, scene_label=scene_label,

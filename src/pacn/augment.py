@@ -8,15 +8,12 @@ filtering.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import N_BINS, AudioClip, to_clip
 from .errors import UsageError
-
-log = logging.getLogger(__name__)
 
 PITCH_FACTORS = (0.90, 0.95, 1.05, 1.10)
 EPS_CORRECTION = 1e-8
@@ -64,6 +61,7 @@ class SpectrumCorrection:
 
     The coefficients are rounded to float32 here, the precision a checkpoint
     stores, so a model applies the same bits in training and after loading.
+    Read-only; ``train.extract_features`` warns of a device it lacks.
     """
 
     def __init__(self, coeffs: dict[str, np.ndarray]):
@@ -78,16 +76,10 @@ class SpectrumCorrection:
                 raise UsageError(f"device {dev}: coefficients must be positive "
                                  "and finite")
             self.coeffs[dev] = c
-        self._warned: set[str] = set()
 
     def coeff_for(self, device_id: str) -> np.ndarray | None:
-        """The device's coefficients, or None (warned once) for an unseen device."""
-        c = self.coeffs.get(device_id)
-        if c is None and device_id not in self._warned:
-            self._warned.add(device_id)
-            log.warning("no spectrum correction for device %r; passing through",
-                        device_id)
-        return c
+        """The device's coefficients, or None for a device it has no entry for."""
+        return self.coeffs.get(device_id)
 
 
 def estimate_correction(spectra_by_device: dict[str, np.ndarray]) -> SpectrumCorrection:

@@ -278,7 +278,8 @@ def write_rank_svg(path, report: RankReport):
     k = len(report.method_names)
     width = 720.0
     pad = 60.0
-    bar_w = max(4.0, min(18.0, (width - 2 * pad) / (k * k) - 2.0))
+    group_w = (width - 2 * pad) / k             # one group of bars per rank
+    bar_w = min(18.0, (group_w - 2.0) / k - 2.0)    # 4-px lead-in, 2-px gaps
     hist_h = 160.0
     cd_h = 60.0 + 16.0 * k
     extra = 16.0 * ((k - 1) // LEGEND_ROW)      # legend rows past the first
@@ -293,7 +294,6 @@ def write_rank_svg(path, report: RankReport):
 
     # histogram panel: one group of bars per rank position
     base_y = 40.0 + hist_h
-    group_w = (width - 2 * pad) / k
     for r in range(k):
         gx = pad + r * group_w
         parts.append(_svg_text(gx + group_w / 2, base_y + 16.0,

@@ -6,7 +6,8 @@ Runs are fully deterministic for a fixed seed. Every random decision
 from an RNG derived from (seed, purpose, epoch, clip/batch id); nothing reads
 the wall clock or global RNG state, so checkpoints and metrics files are
 byte-identical across reruns. The same holds although each batch and its
-teacher logits are built one step ahead on a worker thread.
+teacher logits are built one step ahead on a worker thread, which only reads
+the spectrum correction's coefficients.
 """
 
 from __future__ import annotations
@@ -208,20 +209,15 @@ class Dataset:
                        names=tuple(self.names[i] for i in idx))
 
 
-def _device_coeffs(clips, correction: SpectrumCorrection | None) -> dict:
-    """Each device's correction coefficients, looked up once, on the calling
-    thread and in first-appearance order, so an unseen device warns once.
-    An audio mix has no device: ``get(None)`` gives it no coefficients."""
-    if correction is None:
-        return {}
-    return {dev: correction.coeff_for(dev)
-            for dev in dict.fromkeys(c.device_id for c in clips)}
-
-
 def extract_features(clips, correction: SpectrumCorrection | None = None,
                      threads: int = 1) -> np.ndarray:
-    """Stack clean per-clip features, optionally device-corrected."""
-    coeffs = _device_coeffs(clips, correction)
+    """Stack clean per-clip features, optionally device-corrected; each device
+    the correction lacks passes through, warned once in first-appearance order."""
+    coeffs = {} if correction is None else correction.coeffs
+    unseen = () if correction is None else dict.fromkeys(
+        c.device_id for c in clips if c.device_id not in coeffs)
+    for dev in unseen:
+        log.warning("no spectrum correction for device %r; passing through", dev)
 
     def one(clip):
         return extract_feature(clip, coeffs.get(clip.device_id)).feature
@@ -413,9 +409,8 @@ def _train(model_cfg: PacnConfig, train_ds: Dataset, val_ds: Dataset | None,
     pools: dict[int, list] = {}
     for i, clip in enumerate(train_ds.clips):
         pools.setdefault(int(train_ds.labels[i]), []).append(clip)
-    batches = _batches(train_ds, cfg, teacher,
-                       _device_coeffs(train_ds.clips, correction), pools,
-                       num_classes)
+    coeffs = {} if correction is None else correction.coeffs
+    batches = _batches(train_ds, cfg, teacher, coeffs, pools, num_classes)
 
     metrics = []
     step = 0

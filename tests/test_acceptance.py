@@ -19,9 +19,9 @@ from pacn.gradcheck import check_gradients
 from pacn.model import PacnConfig, PacnModel
 from pacn.profiler import profile, verify_against_runtime
 from pacn.tensor import Tensor, matmul, relu, tmean
-from pacn.train import (TrainConfig, kd_loss, load_dataset, lr_at,
-                        mean_teacher_kl, split_train_val, train_student_kd,
-                        train_teacher)
+from pacn.train import (TrainConfig, kd_loss, load_dataset,
+                        load_training_split, lr_at, mean_teacher_kl,
+                        train_student_kd, train_teacher)
 
 
 def ok(name):
@@ -249,24 +249,10 @@ def corpus(tmp_path_factory):
 
 class TestLearningSignal:
     def test_criterion_student_learns_synthetic_scenes(self, corpus):
-        from pacn.train import (Dataset, estimate_dataset_correction,
-                                extract_features)
-        from pacn.manifest import parse_manifest
-        from pacn.audio import read_wav
-        import os
-
         start = time.time()
-        rows = parse_manifest(corpus / "manifest.tsv")
-        clips = [read_wav(os.path.join(corpus, r.filename), r.label_index,
-                          r.device_id, r.city) for r in rows]
-        correction = estimate_dataset_correction(clips)
-        ds = Dataset(clips=clips,
-                     features=extract_features(clips, correction, threads=4),
-                     labels=np.array([r.label_index for r in rows],
-                                     dtype=np.int64),
-                     devices=tuple(r.device_id for r in rows),
-                     names=tuple(r.filename for r in rows))
-        train_ds, val_ds = split_train_val(ds, 0.25, seed=3)
+        # the CLI's split: the correction is fitted on the training rows only
+        train_ds, val_ds, correction = load_training_split(
+            corpus / "manifest.tsv", 0.25, seed=3, threads=4)
 
         student = PacnConfig()          # reference low-complexity config
         cfg = TrainConfig(epochs=12, batch_size=16, warmup_epochs=3, seed=3,

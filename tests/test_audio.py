@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,6 +98,23 @@ class TestReadWav:
         scipy.io.wavfile.write(path, 22050, np.zeros(22050, dtype=np.float32))
         clip = audio.read_wav(path)
         assert len(clip.samples) == 44100
+
+    @pytest.mark.parametrize("rate", [22050, 44100, 48000])
+    def test_long_stereo_wav_scales_only_the_kept_window(self, tmp_path, rate):
+        path = tmp_path / "long.wav"
+        raw = np.random.default_rng(rate).integers(
+            -32768, 32768, (60 * rate, 2), dtype=np.int16)
+        scipy.io.wavfile.write(path, rate, raw)
+        whole = resample_then_fit((raw / 32768.0).mean(axis=1), 44100 / rate)
+        tracemalloc.start()
+        try:
+            clip = audio.read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.samples.tobytes() == whole.tobytes()
+        # the whole file in float64 would be 4x the raw array, its mean 2x
+        assert peak < raw.nbytes + (4 << 20)
 
     def test_zero_sample_rate_rejected(self, tmp_path):
         path = tmp_path / "zero.wav"

@@ -350,3 +350,27 @@ class TestRankReport:
         write_rank_svg(path, rank_report(ladder_scores()[:3], ["m1", "m2", "m3"]))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "89e22a7e17b5356e6f0911d3ba9d071704827a3fc85ee1627482cbdd7b6d3f27"
+
+    def test_svg_with_five_methods_keeps_its_bytes(self, tmp_path):
+        # up to 5 methods the bar width is capped at 18 px and always fitted
+        path = tmp_path / "r.svg"
+        scores = np.random.default_rng(7).uniform(0.5, 1.0, (5, 20))
+        write_rank_svg(path, rank_report(scores, [f"m{i}" for i in range(1, 6)]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "51bccbe5103191ce1ec5786b2a4d15997d83d41465d35f5255ccc5ba81ba1729"
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_svg_bars_stay_inside_their_rank_group(self, tmp_path, k):
+        path = tmp_path / "r.svg"
+        scores = np.random.default_rng(k).uniform(0.5, 1.0, (k, 20))
+        write_rank_svg(path, rank_report(scores, [f"m{i}" for i in range(k)]))
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        pad, group_w = 60.0, (float(root.get("width")) - 120.0) / k
+        bars = [r for r in root.iter(ns + "rect")
+                if r.get("width") not in ("10", "100%")]
+        assert len(bars) == k * k
+        for n, bar in enumerate(bars):
+            left = pad + (n // k) * group_w        # k bars per group, in order
+            x, w = float(bar.get("x")), float(bar.get("width"))
+            assert left <= x and x + w <= left + group_w + 0.01

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pacn import evalstats
 from pacn.augment import AugmentConfig
-import pacn.augment
 import pacn.train
 from pacn.errors import (ConfigError, IngestionError, PacnError, TrainingError,
                          UsageError)
@@ -429,7 +428,6 @@ class TestDatasets:
         # a mix has no device: the batch worker finds no coefficients for it
         # and the correction is never asked, so nothing warns
         corr = estimate_dataset_correction(tiny_ds.clips)
-        coeffs = pacn.train._device_coeffs(tiny_ds.clips, corr)
         pools = {}
         for clip, label in zip(tiny_ds.clips, tiny_ds.labels):
             pools.setdefault(int(label), []).append(clip)
@@ -445,7 +443,7 @@ class TestDatasets:
                                              audio_mix_prob=1.0))
         with caplog.at_level(logging.WARNING):
             pacn.train._batch_clips(tiny_ds, range(len(tiny_ds)), 1, cfg,
-                                    coeffs, pools)
+                                    corr.coeffs, pools)
         assert len(seen) == len(tiny_ds)
         assert all(dev is None and c is None for dev, c in seen)
         assert not caplog.records
@@ -492,25 +490,24 @@ class TestTrainingLoop:
             res.model.save(tmp_path / name)
         assert (tmp_path / "one").read_bytes() == (tmp_path / "two").read_bytes()
 
-    def test_coefficients_looked_up_once_per_device(self, tiny_ds,
-                                                    monkeypatch):
+    def test_worker_extracts_with_each_clips_coefficients(self, tiny_ds,
+                                                          monkeypatch):
         # every clip is pitch-shifted, so the worker extracts every feature
         corr = estimate_dataset_correction(tiny_ds.clips)
-        calls = []
-        lookup = pacn.augment.SpectrumCorrection.coeff_for
+        seen = []
+        extract = pacn.train.extract_feature
 
-        def recorded(self, device_id):
-            calls.append((device_id, threading.current_thread()))
-            return lookup(self, device_id)
+        def spy(clip, spectrum_coeffs=None):
+            seen.append((clip.device_id, spectrum_coeffs))
+            return extract(clip, spectrum_coeffs)
 
-        monkeypatch.setattr(pacn.augment.SpectrumCorrection, "coeff_for",
-                            recorded)
-        train_teacher(tiny_config(), tiny_ds,
-                      fast_cfg(augment=AugmentConfig(
-                          mixup_prob=0.0, pitch_prob=1.0, audio_mix_prob=0.0)),
-                      correction=corr)
-        main = threading.main_thread()
-        assert calls == [("a", main), ("b", main)]
+        monkeypatch.setattr(pacn.train, "extract_feature", spy)
+        cfg = fast_cfg(augment=AugmentConfig(mixup_prob=0.0, pitch_prob=1.0,
+                                             audio_mix_prob=0.0))
+        train_teacher(tiny_config(), tiny_ds, cfg, correction=corr)
+        assert len(seen) == cfg.epochs * len(tiny_ds)
+        assert {dev for dev, _ in seen} == {"a", "b"}
+        assert all(c is corr.coeffs[dev] for dev, c in seen)
 
     def test_seed_changes_training(self, tiny_ds, tmp_path):
         a = train_teacher(tiny_config(), tiny_ds, fast_cfg(seed=0))
