@@ -338,19 +338,18 @@ def write_rank_svg(path, report: RankReport):
         parts.append(_svg_text(x + 4.0, y,
                                f"{report.method_names[i]} "
                                f"({report.avg_ranks[i]:.2f})"))
-    # horizontal bars under the axis joining maximal linked groups
-    groups = []
-    for a in range(k):
-        members = [b for b in range(k)
-                   if abs(report.avg_ranks[order[a]]
-                          - report.avg_ranks[order[b]]) <= report.cd]
-        lo, hi = min(members), max(members)
-        if hi > lo and (lo, hi) not in groups:
-            groups.append((lo, hi))
-    groups = [g for g in groups
-              if not any(o != g and o[0] <= g[0] and g[1] <= o[1]
-                         for o in groups)]
-    for depth, (lo, hi) in enumerate(sorted(groups)):
+    # one bar under each maximal run of the order that report.linked links
+    # pairwise; a run from lo ends no sooner than the run from lo - 1
+    linked = {p for i, j in report.linked for p in ((i, j), (j, i))}
+    bars = []
+    for lo in range(k):
+        hi = lo
+        while hi < k - 1 and all((order[m], order[hi + 1]) in linked
+                                 for m in range(lo, hi + 1)):
+            hi += 1
+        if hi > lo and (not bars or bars[-1][1] < hi):
+            bars.append((lo, hi))
+    for depth, (lo, hi) in enumerate(bars):
         y = axis_y + 8.0 + 5.0 * depth
         parts.append(f'<line x1="{ax(float(report.avg_ranks[order[lo]])):.2f}" '
                      f'y1="{y:.2f}" '

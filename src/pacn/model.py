@@ -16,6 +16,7 @@ import math
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,20 +101,30 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
                           f"{num_classes} classes")
 
 
-def layers(config: PacnConfig) -> list[tuple]:
-    """The network's ``pacn profile`` rows in build order, for one
-    ``N_MELS`` x ``N_FRAMES`` clip, each as ``(row, kind, macs, params)``.
+class Layer(NamedTuple):
+    """One ``pacn profile`` row: its name, kind and MACs per clip, and its
+    parameters as ``(path, shape, std, value)``, a normal draw scaled by
+    ``std`` if one is given, else the constant ``value``."""
+    name: str
+    kind: str
+    macs: int
+    tensors: list
 
-    ``params`` lists the row's parameters as ``(path, shape, std, value)``:
-    a normal draw scaled by ``std`` if one is given, else the constant
-    ``value``. MACs follow the counting conventions of ``pacn.profiler``.
-    """
+    @property
+    def params(self) -> int:
+        return sum(math.prod(shape) for _, shape, _, _ in self.tensors)
+
+
+def layers(config: PacnConfig) -> list[Layer]:
+    """The network's ``Layer`` rows in build order for one ``N_MELS`` x
+    ``N_FRAMES`` clip: ``PacnModel`` allocates their tensors, and
+    ``pacn.profiler`` reports them and states how MACs are counted."""
     config.validate()
     out = []
 
     def add(row, kind, macs, *params):
-        out.append((row, kind, int(macs), [(f"{row}.{name}", shape, std, value)
-                                           for name, shape, std, value in params]))
+        out.append(Layer(row, kind, int(macs), [(f"{row}.{name}", shape, std, value)
+                                                for name, shape, std, value in params]))
 
     def affine(c, gamma=1.0):
         return ("gamma", (c,), None, gamma), ("beta", (c,), None, 0.0)
@@ -177,10 +188,6 @@ def layers(config: PacnConfig) -> list[tuple]:
     return out
 
 
-def _param_count(table) -> int:
-    return sum(math.prod(s) for *_, params in table for _, s, _, _ in params)
-
-
 def features_to_input(batch: np.ndarray) -> Tensor:
     """(n, 256, 65, 2) feature stack -> (n, 2, 256, 65) network input."""
     return Tensor(np.ascontiguousarray(batch.transpose(0, 3, 1, 2)))
@@ -203,15 +210,15 @@ class PacnModel:
         try:
             self._build(seed)
         except MemoryError:
-            raise ConfigError(f"config needs {_param_count(layers(config))} "
+            raise ConfigError(f"config needs {sum(r.params for r in layers(config))} "
                               "parameters, more than memory can hold") from None
 
     def _build(self, seed: int):
         """Allocate ``layers(config)``'s parameters in order, plus running
         statistics for each batch-norm row."""
         rng = derive_rng(seed, PURPOSE_INIT)
-        for row, _, _, params in layers(self.config):
-            for path, shape, std, value in params:
+        for row, _, _, tensors in layers(self.config):
+            for path, shape, std, value in tensors:
                 data = (np.full(shape, value, dtype=self.dtype) if std is None
                         else (rng.standard_normal(shape) * std).astype(self.dtype))
                 self.params[path] = Tensor(data, requires_grad=True)
@@ -222,12 +229,10 @@ class PacnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _bsconv(self, x: Tensor, path: str, stride=(1, 1)) -> Tensor:
+    def _bsconv(self, x: Tensor, path: str) -> Tensor:
         p = self.params
-        return ops.bsconv_forward(x, p[f"{path}.pw.weight"],
-                                  p[f"{path}.dw.weight"],
-                                  pw_bias=p[f"{path}.pw.bias"],
-                                  dw_bias=p[f"{path}.dw.bias"], stride=stride)
+        return ops.bsconv_forward(x, p[f"{path}.pw.weight"], p[f"{path}.dw.weight"],
+                                  p[f"{path}.pw.bias"], p[f"{path}.dw.bias"])
 
     def _bn(self, x: Tensor, path: str, training: bool) -> Tensor:
         return ops.batch_norm_forward(x, self.params[f"{path}.gamma"],
@@ -407,7 +412,7 @@ class PacnModel:
         if version != CHECKPOINT_VERSION:
             raise IngestionError(f"unsupported checkpoint version {version}")
         config = PacnConfig.from_json(reader.text("config"))
-        n_params = _param_count(layers(config))
+        n_params = sum(r.params for r in layers(config))
         if 4 * n_params > len(reader.raw) - reader.pos:
             # checked before the model is built, so a forged config cannot
             # allocate more memory than the file could fill
@@ -438,6 +443,8 @@ class PacnModel:
             if not np.isfinite(target).all():
                 raise IngestionError(f"tensor {name} in {path} holds "
                                      "non-finite values")
+            if name.startswith("state.") and name.endswith(".var") and target.min() < 0:
+                raise IngestionError(f"tensor {name} in {path} holds a negative variance")
             loaded.add(name)
         missing = set(expected) - loaded
         if missing:

@@ -155,35 +155,35 @@ def bsconv_forward(x: Tensor, pw_weight: Tensor, dw_weight: Tensor,
     Both convolutions are linear, so output channel ``co`` is one dense
     k x k convolution of the input with weights ``wd[co, k] * wp[co, ci]``.
     That fold costs ``k * c_in / (c_in + k)`` times the MACs of the pair, so
-    it is taken only where the input has few channels, ``4 * c_in <= c_out``,
-    and the one GEMM beats the two memory-bound passes; every other block
-    runs the point-wise and then the depth-wise convolution.
+    it is taken only at stride 1, the only stride the model runs, and where
+    the input has few channels, ``4 * c_in <= c_out``, so the one GEMM beats
+    the two memory-bound passes; every other call runs the point-wise and
+    then the depth-wise convolution.
     """
     c_out, c_in = pw_weight.data.shape
     if c_out != dw_weight.data.shape[0]:
         raise ConfigError(
             f"point-wise output channels ({c_out}) != "
             f"depth-wise channels ({dw_weight.data.shape[0]})")
-    if 4 * c_in <= c_out:
-        return _folded_bsconv(x, pw_weight, dw_weight, pw_bias, dw_bias, stride)
+    if tuple(stride) == (1, 1) and 4 * c_in <= c_out:
+        return _folded_bsconv(x, pw_weight, dw_weight, pw_bias, dw_bias)
     h = pointwise_conv2d(x, pw_weight, pw_bias)
     return depthwise_conv2d(h, dw_weight, dw_bias, stride=stride)
 
 
-def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor,
-                   stride) -> Tensor:
-    """BSConv as one GEMM of the folded weight and the input's tap matrix.
+def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor) -> Tensor:
+    """Stride-1 BSConv as one GEMM of the folded weight and the input's tap
+    matrix.
 
-    The tap matrix ``tm`` of shape ``(n, c_in * k, of * ot)`` holds, for
-    each input channel and tap, the zero-padded input seen by that tap at
-    every output position (Chetlur et al. 2014, arXiv:1410.0759); strided
-    slices give the stride. The folded weight is ``wf[co, ci * k + j] =
-    wp[co, ci] * wd[co, j]``. The point-wise bias passes through the
-    depth-wise taps that fall inside the input, so it becomes the map
-    ``bp[co] * (wd[co] @ inb)``, with ``inb`` the ``(k, of * ot)`` indicator
-    of in-bounds taps. The weights change in training, so both are formed
-    on every call. The backward keeps ``tm`` and applies the chain rule
-    through the fold.
+    The tap matrix ``tm`` of shape ``(n, c_in * k, f * t)`` holds, for each
+    input channel and tap, the zero-padded input seen by that tap at every
+    output position (Chetlur et al. 2014, arXiv:1410.0759). The folded
+    weight is ``wf[co, ci * k + j] = wp[co, ci] * wd[co, j]``. The
+    point-wise bias passes through the depth-wise taps that fall inside the
+    input, so it becomes the map ``bp[co] * (wd[co] @ inb)``, with ``inb``
+    the ``(k, f * t)`` indicator of in-bounds taps. The weights change in
+    training, so both are formed on every call. The backward keeps ``tm``
+    and applies the chain rule through the fold.
     """
     n, ci, f, t = x.data.shape
     co, kf, kt = wd.data.shape
@@ -191,25 +191,21 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor,
         raise ConfigError(
             f"point-wise weight expects {wp.data.shape[1]} input channels, got {ci}")
     k = kf * kt
-    sf, st = stride
-    of, pf0, pf1 = _same_pad(f, kf, sf)
-    ot, pt0, pt1 = _same_pad(t, kt, st)
-    fp, tp = f + pf0 + pf1, t + pt0 + pt1
+    pf, pt = (kf - 1) // 2, (kt - 1) // 2      # "same" zero padding
     dtype = x.data.dtype
-    taps = [(slice(i, i + (of - 1) * sf + 1, sf), slice(j, j + (ot - 1) * st + 1, st))
-            for i in range(kf) for j in range(kt)]
-    xp = np.zeros((n, ci, fp, tp), dtype=dtype)
-    xp[:, :, pf0:pf0 + f, pt0:pt0 + t] = x.data
-    inside = np.zeros((fp, tp), dtype=dtype)
-    inside[pf0:pf0 + f, pt0:pt0 + t] = 1
-    tm = np.empty((n, ci, k, of, ot), dtype=dtype)
-    inb = np.empty((k, of, ot), dtype=dtype)
+    taps = [(slice(i, i + f), slice(j, j + t)) for i in range(kf) for j in range(kt)]
+    xp = np.zeros((n, ci, f + kf - 1, t + kt - 1), dtype=dtype)
+    xp[:, :, pf:pf + f, pt:pt + t] = x.data
+    inside = np.zeros(xp.shape[2:], dtype=dtype)
+    inside[pf:pf + f, pt:pt + t] = 1
+    tm = np.empty((n, ci, k, f, t), dtype=dtype)
+    inb = np.empty((k, f, t), dtype=dtype)
     for j, (fs, ts) in enumerate(taps):
         tm[:, :, j] = xp[:, :, fs, ts]
         inb[j] = inside[fs, ts]
     del xp
-    tm = tm.reshape(n, ci * k, of * ot)
-    inb = inb.reshape(k, of * ot)
+    tm = tm.reshape(n, ci * k, f * t)
+    inb = inb.reshape(k, f * t)
     wdk = wd.data.reshape(co, k)
     wf = (wp.data[:, :, None] * wdk[:, None, :]).reshape(co, ci * k)
     wd_inb = wdk @ inb
@@ -218,10 +214,10 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor,
     out_data = np.matmul(wf, tm)
     out_data += bias_map
     # the multiply tally counts the point-wise and depth-wise pair it replaces
-    _tally_macs(n * co * (f * t * ci + of * ot * k))
+    _tally_macs(n * co * f * t * (ci + k))
 
     def bw(g):
-        gm = g.reshape(n, co, of * ot)
+        gm = g.reshape(n, co, f * t)
         gsum = gm.sum(axis=0)
         dwf = np.matmul(gm, tm.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, k)
         _accum(wp, (dwf * wdk[:, None, :]).sum(axis=2))
@@ -231,13 +227,13 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor,
         _accum(bp, (gsum * wd_inb).sum(axis=1))
         _accum(bd, gsum.sum(axis=1))
         if x.requires_grad:
-            dtm = np.matmul(wf.T, gm).reshape(n, ci, k, of, ot)
-            dxp = np.zeros((n, ci, fp, tp), dtype=dtype)
+            dtm = np.matmul(wf.T, gm).reshape(n, ci, k, f, t)
+            dxp = np.zeros((n, ci) + inside.shape, dtype=dtype)
             for j, (fs, ts) in enumerate(taps):
                 dxp[:, :, fs, ts] += dtm[:, :, j]
-            _accum(x, dxp[:, :, pf0:pf0 + f, pt0:pt0 + t])
+            _accum(x, dxp[:, :, pf:pf + f, pt:pt + t])
 
-    return _make(out_data.reshape(n, co, of, ot), (x, wp, wd, bp, bd), bw)
+    return _make(out_data.reshape(n, co, f, t), (x, wp, wd, bp, bd), bw)
 
 
 def maxpool2d(x: Tensor, window) -> Tensor:

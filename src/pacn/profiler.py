@@ -16,7 +16,6 @@ cross-checks the kernel subtotal against an instrumented forward pass.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +28,8 @@ KERNEL_KINDS = ("conv", "fc", "attention")
 
 
 @dataclass
-class ProfileRow:
-    name: str
-    kind: str
-    params: int
-    macs: int
-
-
-@dataclass
 class ProfileReport:
-    rows: list
+    rows: list                          # ``model.Layer`` rows
 
     @property
     def total_params(self) -> int:
@@ -72,10 +63,8 @@ class ProfileReport:
 
 
 def profile(config: PacnConfig) -> ProfileReport:
-    return ProfileReport([
-        ProfileRow(row, kind, sum(math.prod(shape) for _, shape, _, _ in params),
-                   macs)
-        for row, kind, macs, params in layers(config)])
+    """The ``layers(config)`` table with its totals and text and CSV forms."""
+    return ProfileReport(layers(config))
 
 
 @dataclass

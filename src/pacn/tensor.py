@@ -17,6 +17,8 @@ immutable values once created.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -24,6 +26,10 @@ import numpy as np
 
 from .errors import UsageError
 
+# glibc: a 4 MiB+ array gets its own mapping, so peak RSS does not hang on heap holes
+if os.name == "posix" and (_mallopt := getattr(ctypes.CDLL(None), "mallopt", None)):
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 4 << 20), _mallopt(-1, 64 << 20)  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
@@ -279,7 +285,9 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def bw(g):
-        _accum(a, g * (0.5 / out_data))
+        # a zero output takes the subgradient 0, not 0.5 / 0 = inf
+        d = np.divide(0.5, out_data, out=np.zeros_like(out_data), where=out_data != 0)
+        _accum(a, g * d)
 
     return _make(out_data, (a,), bw)
 

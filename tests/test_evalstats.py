@@ -1,12 +1,15 @@
 import csv
 import importlib.resources as res
 import hashlib
+import itertools
 import math
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacn.evalstats
 from pacn.augment import SpectrumCorrection
@@ -275,6 +278,13 @@ def ladder_scores():
     return scores
 
 
+def cd_bars(path):
+    """(x1, x2) of each CD bar in a rank SVG, in drawing order."""
+    return [(float(e.get("x1")), float(e.get("x2")))
+            for e in ET.parse(path).iter("{http://www.w3.org/2000/svg}line")
+            if e.get("stroke-width") == "4"]
+
+
 class TestRankReport:
     def test_always_winning_method(self):
         scores = np.vstack([np.full(20, 0.95), np.full(20, 0.5),
@@ -374,3 +384,39 @@ class TestRankReport:
             left = pad + (n // k) * group_w        # k bars per group, in order
             x, w = float(bar.get("x")), float(bar.get("width"))
             assert left <= x and x + w <= left + group_w + 0.01
+
+    def test_cd_bars_join_only_linked_methods(self, tmp_path):
+        # average ranks 1, 2 and 3 over 6 subsets: CD 1.353 links a with b
+        # and b with c, but not a with c
+        report = rank_report(np.tile([[0.9], [0.8], [0.7]], (1, 6)), ["a", "b", "c"])
+        assert report.linked == [(0, 1), (1, 2)]
+        path = tmp_path / "r.svg"
+        write_rank_svg(path, report)
+        assert cd_bars(path) == [(60.0, 360.0), (360.0, 660.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cd_bars_cover_the_linked_pairs(self, tmp_path_factory, data):
+        k = data.draw(st.integers(2, 10), label="methods")
+        n = data.draw(st.integers(1, 12), label="subsets")
+        # few score levels, so ranks and average ranks tie often
+        scores = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k * n,
+                                             max_size=k * n), label="scores"))
+        report = rank_report(scores.reshape(k, n), [f"m{i}" for i in range(k)])
+        path = tmp_path_factory.getbasetemp() / "cd.svg"
+        write_rank_svg(path, report)
+        x = 60.0 + (report.avg_ranks - 1.0) / (k - 1) * 600.0
+        linked = {p for i, j in report.linked for p in ((i, j), (j, i))}
+        bars = cd_bars(path)
+
+        def under(bar):
+            return [i for i in range(k) if bar[0] - 0.01 <= x[i] <= bar[1] + 0.01]
+
+        for bar in bars:
+            members = under(bar)
+            assert len(members) >= 2
+            assert all((i, j) in linked for i in members for j in members if i != j)
+        for i, j in report.linked:
+            assert any({i, j} <= set(under(bar)) for bar in bars)
+        for a, b in itertools.permutations(bars, 2):
+            assert not (b[0] <= a[0] and a[1] <= b[1])

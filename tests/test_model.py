@@ -17,6 +17,7 @@ from pacn.errors import ConfigError, IngestionError, PacnError
 from pacn.model import WIRING_MODES, PacnConfig, PacnModel, features_to_input
 from pacn.profiler import profile
 from pacn.tensor import Tensor, backward, count_multiplies, no_grad, relu
+from pacn.train import Adam, kd_loss
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -433,6 +434,18 @@ class TestGradientCoverage:
         dead = [k for k, v in totals.items() if v == 0.0]
         assert not dead, f"zero-gradient parameters: {dead}"
 
+    def test_a_relu_dead_lci_channel_trains(self):
+        # the channel is all zero at GRN, whose norm is a sqrt of 0
+        cfg = packaged_config("student")
+        model = PacnModel(cfg, seed=0)
+        model.params["lci.1.bn.beta"].data[0] = -10.0
+        x = rand_input(np.random.default_rng(0), n=4)
+        y = np.eye(cfg.num_classes, dtype=np.float32)[[0, 1, 2, 3]]
+        backward(kd_loss(model(x, training=True), y, None, lam=1.0,
+                         temperature=2.0).total)
+        Adam(model.params).step(1e-3)
+        assert all(np.isfinite(t.data).all() for t in model.params.values())
+
 
 class TestConfig:
     def test_validation_catches_bad_divisibility(self):
@@ -650,6 +663,18 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         model.save(path)
         with pytest.raises(IngestionError, match=re.escape(name)):
+            PacnModel.load(path)
+
+    def test_negative_running_variance_rejected(self, tmp_path):
+        # sqrt(var + eps) of a negative variance makes every logit NaN
+        model = PacnModel(packaged_config("student"), seed=0)
+        path = tmp_path / "m.ckpt"
+        model.state["pre.0.bn"]["var"][0] = 0.0
+        model.save(path)
+        PacnModel.load(path)
+        model.state["pre.0.bn"]["var"][0] = -1.0
+        model.save(path)
+        with pytest.raises(IngestionError, match=re.escape("state.pre.0.bn.var")):
             PacnModel.load(path)
 
     def test_correction_roundtrip_is_bit_exact(self, corrected_ckpt, tmp_path):

@@ -6,6 +6,7 @@ otherwise surface only when a traced benchmark run fails. Short untraced runs
 of every workload pass the benchmark's own correctness checks.
 """
 
+import ctypes
 import json
 import os
 import shutil
@@ -51,6 +52,27 @@ def test_pacn_imports_leave_scipy_stats_unloaded():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="glibc only")
+def test_large_arrays_get_their_own_mapping_after_pacn_import():
+    # glibc would raise its mmap threshold to 16 MiB when the first array is
+    # freed and serve the second from the heap, whose holes made kd-student's
+    # peak RSS differ by 8 MiB between identical runs
+    code = ("import ctypes, numpy as np, pacn\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in 'abcdefghij']\n"
+            "info = ctypes.CDLL(None).mallinfo2\n"
+            "info.restype = Info\n"
+            "big = np.ones(4 << 20, np.float32); del big\n"
+            "mid = np.ones(5 << 18, np.float32)\n"
+            "print(info().e >= mid.nbytes)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("name", ["student", "teacher"])

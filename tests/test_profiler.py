@@ -140,6 +140,11 @@ class TestLayerTable:
             assert r.params == sum(t.data.size for path, t in model.params.items()
                                    if path.startswith(r.name + ".")), r.name
 
+    @pytest.mark.parametrize("name", ["student", "teacher"])
+    def test_profile_rows_are_the_layer_table(self, name):
+        cfg = packaged(name)
+        assert profiler.profile(cfg).rows == layers(cfg)
+
 
 class TestReportOutput:
     def test_text_report_has_totals(self):

@@ -108,6 +108,14 @@ class TestElementaryGradients:
             return [a], lambda: (a * sqrt(a) + sqrt(a)).sum()
         assert_grads_ok(build)
 
+    def test_sqrt_of_zero_has_zero_gradient(self):
+        a = Tensor(np.array([0.0, 4.0, 0.25, 0.0], dtype=np.float32),
+                   requires_grad=True)
+        g = np.array([1.5, -2.0, 3.0, 0.0], dtype=np.float32)
+        (sqrt(a) * Tensor(g)).sum().backward()
+        assert a.grad.tobytes() == (g * np.array([0.0, 0.25, 1.0, 0.0],
+                                                 dtype=np.float32)).tobytes()
+
     def test_relu(self):
         def build(rng):
             data = rng.uniform(-1, 1, size=(4, 4))
