@@ -161,9 +161,12 @@ def _read_scores_csv(path):
 
 
 def cmd_significance(args) -> int:
+    prefix = args.out or os.path.splitext(args.scores)[0] + "_ranks"
+    for out in (prefix + ".csv", prefix + ".svg"):
+        if os.path.realpath(out) == os.path.realpath(args.scores):
+            raise UsageError(f"--out {prefix} would overwrite --scores {args.scores}")
     scores, names = _read_scores_csv(args.scores)
     report = rank_report(scores, names, alpha=args.alpha)
-    prefix = args.out or os.path.splitext(args.scores)[0] + "_ranks"
     write_rank_csv(prefix + ".csv", report)
     write_rank_svg(prefix + ".svg", report)
     print(f"friedman statistic: {report.statistic:.6g} "

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import UsageError
 
-# glibc: a 4 MiB+ array gets its own mapping, so peak RSS does not hang on heap holes
+# glibc: arrays under 32 MiB come from a never-trimmed heap, so a sweep's frees serve the next step
 if os.name == "posix" and (_mallopt := getattr(ctypes.CDLL(None), "mallopt", None)):
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _mallopt(-3, 4 << 20), _mallopt(-1, 64 << 20)  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    _mallopt(-3, 32 << 20), _mallopt(-1, -1)  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 

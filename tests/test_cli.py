@@ -489,6 +489,27 @@ class TestSignificance:
         assert (tmp_path / "one.svg").read_bytes() \
             == (tmp_path / "two.svg").read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".csv", ".svg"])
+    def test_out_naming_the_scores_file_fails_unchanged(self, tmp_path, capsys,
+                                                        monkeypatch, suffix):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / f"drift{suffix}"
+        path.write_text("method,s1,s2\na,0.9,0.8\nb,0.8,0.7\n")
+        before = path.read_bytes()
+        err = fails_cleanly(capsys, "significance", "--scores", f"./drift{suffix}",
+                            "--out", "drift")
+        assert "would overwrite" in err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_out_beside_the_scores_file_writes_both(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "drift.csv").write_text("method,s1,s2\na,0.9,0.8\nb,0.8,0.7\n")
+        assert run("significance", "--scores", "drift.csv", "--out", "drift2") == 0
+        assert (tmp_path / "drift2.csv").read_text().startswith("method,avg_rank")
+        assert (tmp_path / "drift2.svg").read_text().startswith("<svg")
+        assert (tmp_path / "drift.csv").read_text().startswith("method,s1")
+
     def test_single_method_fails(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("method,subset_1\nours,0.9\n")
