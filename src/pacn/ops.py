@@ -182,8 +182,11 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor) ->
     point-wise bias passes through the depth-wise taps that fall inside the
     input, so it becomes the map ``bp[co] * (wd[co] @ inb)``, with ``inb``
     the ``(k, f * t)`` indicator of in-bounds taps. The weights change in
-    training, so both are formed on every call. The backward keeps ``tm``
-    and applies the chain rule through the fold.
+    training, so both are formed on every call. The graph keeps the padded
+    input ``xp``, a ninth of ``tm`` per input channel: the forward frees
+    ``tm`` after its GEMM, and the backward builds it again from ``xp`` with
+    the same copies for the weight-gradient GEMM, then applies the chain rule
+    through the fold.
     """
     n, ci, f, t = x.data.shape
     co, kf, kt = wd.data.shape
@@ -198,20 +201,20 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor) ->
     xp[:, :, pf:pf + f, pt:pt + t] = x.data
     inside = np.zeros(xp.shape[2:], dtype=dtype)
     inside[pf:pf + f, pt:pt + t] = 1
-    tm = np.empty((n, ci, k, f, t), dtype=dtype)
-    inb = np.empty((k, f, t), dtype=dtype)
-    for j, (fs, ts) in enumerate(taps):
-        tm[:, :, j] = xp[:, :, fs, ts]
-        inb[j] = inside[fs, ts]
-    del xp
-    tm = tm.reshape(n, ci * k, f * t)
-    inb = inb.reshape(k, f * t)
+
+    def tap_matrix(a):
+        m = np.empty(a.shape[:2] + (k, f, t), dtype=a.dtype)
+        for j, (fs, ts) in enumerate(taps):
+            m[:, :, j] = a[..., fs, ts]
+        return m.reshape(a.shape[0], -1, f * t)
+
+    inb = tap_matrix(inside[None, None])[0]
     wdk = wd.data.reshape(co, k)
     wf = (wp.data[:, :, None] * wdk[:, None, :]).reshape(co, ci * k)
     wd_inb = wdk @ inb
     bias_map = bp.data[:, None] * wd_inb
     bias_map += bd.data[:, None]
-    out_data = np.matmul(wf, tm)
+    out_data = np.matmul(wf, tap_matrix(xp))
     out_data += bias_map
     # the multiply tally counts the point-wise and depth-wise pair it replaces
     _tally_macs(n * co * f * t * (ci + k))
@@ -219,7 +222,7 @@ def _folded_bsconv(x: Tensor, wp: Tensor, wd: Tensor, bp: Tensor, bd: Tensor) ->
     def bw(g):
         gm = g.reshape(n, co, f * t)
         gsum = gm.sum(axis=0)
-        dwf = np.matmul(gm, tm.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, k)
+        dwf = np.matmul(gm, tap_matrix(xp).swapaxes(1, 2)).sum(axis=0).reshape(co, ci, k)
         _accum(wp, (dwf * wdk[:, None, :]).sum(axis=2))
         dwd = (dwf * wp.data[:, :, None]).sum(axis=1)
         dwd += bp.data[:, None] * (gsum @ inb.T)
@@ -258,7 +261,11 @@ def maxpool2d(x: Tensor, window) -> Tensor:
         np.maximum(tap(x.data, i, j), out_data, out=out_data)
 
     def bw(g):
-        dx = np.zeros_like(x.data)
+        # every tap writes its elements once; only the floor's remainder,
+        # which no window covers, is zeroed
+        dx = np.empty_like(x.data)
+        dx[:, :, fo * wf:] = 0
+        dx[:, :, :, to * wt:] = 0
         free = np.ones(out_data.shape, dtype=bool)
         for i, j in taps:
             hit = tap(x.data, i, j) == out_data
@@ -333,7 +340,10 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor,
     Returns ``(out, mean, var)``: the batch mean and biased variance
     (keepdims arrays) let batch norm update its running statistics without
     computing them again. The backward is the closed form of Ioffe &
-    Szegedy 2015 (arXiv:1502.03167), extended by the ``rho`` blend.
+    Szegedy 2015 (arXiv:1502.03167), extended by the ``rho`` blend. The
+    graph keeps no full-size array of its own: the backward rebuilds
+    ``xhat`` from ``x``, ``mean`` and ``rstd`` by the forward's ops, so it
+    has the same bits.
     """
     axes = _norm_axes(axes, x.data.ndim)
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -367,17 +377,21 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor,
         count = int(np.prod([x.data.shape[i] for i in axes]))
         gam = gamma.data
         k = rstd if rho is None else rstd * (1.0 - rho.data)
+        # the forward's xhat, bit for bit; its buffer and dx's then hold
+        # every later full-size product, so there are two temporaries
+        xhat = x.data - mean
+        xhat *= rstd
         g_in = g.sum(axis=inner, keepdims=True)
-        tmp = np.multiply(g, xhat)
-        gxhat_in = tmp.sum(axis=inner, keepdims=True)
+        dx = np.multiply(g, xhat)
+        gxhat_in = dx.sum(axis=inner, keepdims=True)
         m1 = (gam * g_in).sum(axis=outer, keepdims=True) / count
         m2 = (gam * gxhat_in).sum(axis=outer, keepdims=True) / count
-        dx = g * (gam * (k if rho is None else k + rho.data))
-        dx -= np.multiply(xhat, k * m2, out=tmp)
+        np.multiply(g, gam * (k if rho is None else k + rho.data), out=dx)
+        dx -= np.multiply(xhat, k * m2, out=xhat)
         dx -= k * m1
         h_in = gxhat_in
         if rho is not None:
-            gx_in = np.multiply(g, x.data, out=tmp).sum(axis=inner, keepdims=True)
+            gx_in = np.multiply(g, x.data, out=xhat).sum(axis=inner, keepdims=True)
             # d/drho of rho * x + (1 - rho) * xhat is x - xhat
             drho = np.sum(gam * (gx_in - gxhat_in))
             _accum(rho, np.asarray(drho, dtype=rho.data.dtype))

@@ -116,6 +116,16 @@ class TestReadWav:
         # the whole file in float64 would be 4x the raw array, its mean 2x
         assert peak < raw.nbytes + (4 << 20)
 
+    def test_24_bit_pcm_scales_by_two_to_the_23(self):
+        # scipy reads 3-byte samples into the top of an int32
+        values = [0, 1, -1, 2 ** 23 - 1, -2 ** 23]
+        pcm = np.zeros(audio.CLIP_SAMPLES, dtype=np.int64)
+        pcm[:len(values)] = values
+        payload = b"".join(int(v % 2 ** 24).to_bytes(3, "little") for v in pcm)
+        clip = audio.read_wav(io.BytesIO(wav_bytes(44100, 1, 1, 24, payload)))
+        want = np.array([v / 2 ** 23 for v in pcm], dtype=np.float32)
+        assert clip.samples.tobytes() == want.tobytes()
+
     def test_zero_sample_rate_rejected(self, tmp_path):
         path = tmp_path / "zero.wav"
         path.write_bytes(wav_bytes(0, 1, 1, 16, bytes(20)))

@@ -166,6 +166,58 @@ def argmax_maxpool(x, window, g):
     return out, dx
 
 
+def kept_tap_matrix_bsconv(x, wp, wd, bp, bd, g):
+    """Folded BSConv that builds the whole batch's tap matrix once and keeps
+    it for the backward; returns (out, dx, dwp, dwd, dbp, dbd).
+
+    ``_folded_bsconv`` keeps only the padded input and builds the tap matrix
+    again in its backward, so it must match this bit for bit.
+    """
+    n, ci, f, t = x.shape
+    co, kf, kt = wd.shape
+    k = kf * kt
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    inside = np.pad(np.ones((f, t), dtype=x.dtype), 1)
+    taps = [(slice(i, i + f), slice(j, j + t)) for i in range(kf) for j in range(kt)]
+    tm = np.stack([xp[:, :, fs, ts] for fs, ts in taps], axis=2)
+    tm = tm.reshape(n, ci * k, f * t)
+    inb = np.stack([inside[fs, ts] for fs, ts in taps]).reshape(k, f * t)
+    wdk = wd.reshape(co, k)
+    wf = (wp[:, :, None] * wdk[:, None, :]).reshape(co, ci * k)
+    wd_inb = wdk @ inb
+    bias_map = bp[:, None] * wd_inb
+    bias_map += bd[:, None]
+    out = np.matmul(wf, tm)
+    out += bias_map
+    gm = g.reshape(n, co, f * t)
+    gsum = gm.sum(axis=0)
+    dwf = np.matmul(gm, tm.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, k)
+    dwp = (dwf * wdk[:, None, :]).sum(axis=2)
+    dwd = (dwf * wp[:, :, None]).sum(axis=1)
+    dwd += bp[:, None] * (gsum @ inb.T)
+    dtm = np.matmul(wf.T, gm).reshape(n, ci, k, f, t)
+    dxp = np.zeros_like(xp)
+    for j, (fs, ts) in enumerate(taps):
+        dxp[:, :, fs, ts] += dtm[:, :, j]
+    return (out.reshape(n, co, f, t), dxp[:, :, 1:1 + f, 1:1 + t], dwp,
+            dwd.reshape(co, kf, kt), (gsum * wd_inb).sum(axis=1), gsum.sum(axis=1))
+
+
+def first_max_pool_grad(x, window, g):
+    """dx of max pooling, window by window: ``g`` times 1 at the first
+    maximal tap in row-major order and times 0 at the others; +0.0 where
+    no window reaches."""
+    wf, wt = window
+    dx = np.zeros_like(x)
+    for idx in np.ndindex(g.shape):
+        a, b, i, j = idx
+        win = x[a, b, i * wf:(i + 1) * wf, j * wt:(j + 1) * wt]
+        first = np.flatnonzero(win == win.max())[0]
+        hit = (np.arange(win.size) == first).reshape(win.shape)
+        dx[a, b, i * wf:(i + 1) * wf, j * wt:(j + 1) * wt] = g[idx] * hit.astype(x.dtype)
+    return dx
+
+
 def zero_bias(c, dtype=np.float64):
     return Tensor(np.zeros(c, dtype=dtype))
 
@@ -327,6 +379,26 @@ class TestFoldedBsconv:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
+    # the teacher's pre.0 block (input needs no gradient) and pre.1 block
+    @pytest.mark.parametrize("c_in, c_out, f, t, x_grad",
+                             [(2, 12, 256, 65, False), (12, 64, 64, 32, True)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_a_kept_tap_matrix_bitwise(self, c_in, c_out, f, t, x_grad, n):
+        rng = np.random.default_rng(c_in + n)
+        shapes = [(n, c_in, f, t), (c_out, c_in), (c_out, 3, 3), (c_out,), (c_out,)]
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        g = rng.standard_normal((n, c_out, f, t)).astype(np.float32)
+        leaves = [Tensor(a, requires_grad=i > 0 or x_grad) for i, a in enumerate(arrays)]
+        out = pacn.ops._folded_bsconv(*leaves)
+        backward((out * Tensor(g)).sum())
+        want = kept_tap_matrix_bsconv(*arrays, g)
+        got = [out.data] + [leaf.grad for leaf in leaves]
+        assert (leaves[0].grad is None) != x_grad
+        for a, b in zip(got, want):
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("c_out, folds", [(7, False), (8, True)])
     def test_folds_from_four_times_the_input_channels(self, c_out, folds, monkeypatch):
         calls = []
@@ -425,6 +497,28 @@ class TestPooling:
         np.testing.assert_array_equal(dx[0, 0], want)
         assert out[0, 0, 0, 0] == value
         assert np.signbit(out[0, 0, 0, 0]) == np.signbit(x[0, 0, 0, 0])
+
+    @pytest.mark.parametrize("window", [(2, 2), (4, 2)])
+    def test_maxpool_remainder_gets_positive_zero_gradient(self, window):
+        rng = np.random.default_rng(9)
+        # 9 x 7 is not a multiple of either window; post-ReLU input ties at zero
+        x = np.maximum(rng.standard_normal((2, 3, 9, 7)), 0).astype(np.float32)
+        g = rng.standard_normal((2, 3, 9 // window[0], 7 // window[1])).astype(np.float32)
+        g[0, 0, 0, 0], g[1, 2, 1, 1] = np.inf, np.nan
+        # a freed array of NaN, so that the backward's buffer is likely not clean
+        stale = np.full(x.shape, np.nan, dtype=np.float32)
+        del stale
+        with np.errstate(invalid="ignore"):
+            _, (dx,) = run_with_grad(lambda x: maxpool2d(x, window), [x], g)
+            want = first_max_pool_grad(x, window, g)
+        assert dx.dtype == want.dtype and dx.tobytes() == want.tobytes()
+        wf, wt = window
+        rest = np.ones(x.shape, dtype=bool)
+        rest[:, :, :9 // wf * wf, :7 // wt * wt] = False
+        assert (dx[rest] == 0).all() and not np.signbit(dx[rest]).any()
+        # a non-finite g reaches the window's other taps as g * 0
+        assert np.isnan(dx[0, 0, :wf, :wt]).sum() == wf * wt - 1
+        assert np.isnan(dx[1, 2, wf:2 * wf, wt:2 * wt]).all()
 
     def test_global_avg_pool(self):
         rng = np.random.default_rng(4)
