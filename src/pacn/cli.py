@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .evalstats import (draw_subsets, evaluate, format_eval_text, rank_report,
                         subset_accuracy_row, write_eval_csv, write_rank_csv,
                         write_rank_svg)
 from .manifest import parse_manifest
-from .model import PacnConfig, PacnModel
+from .model import PacnConfig, PacnModel, packaged_config
 from .profiler import profile, verify_against_runtime
 from .seeding import PURPOSE_AUGMENT, derive_rng
 from .synth import SynthSpec, generate_synth_dataset
@@ -35,11 +34,6 @@ from .train import (TrainConfig, check_teacher, load_dataset, load_training_spli
                     train_student_kd, train_teacher, write_metrics)
 
 log = logging.getLogger(__name__)
-
-
-def _packaged_config(name: str) -> PacnConfig:
-    text = (resources.files("pacn") / "configs" / name).read_text()
-    return PacnConfig.from_json(text)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -65,14 +59,13 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     model_cfg = (PacnConfig.from_file(args.model_config)
-                 if args.model_config else _packaged_config(f"{role}.json"))
+                 if args.model_config else packaged_config(role))
     teacher = None
     if role == "student":       # a teacher error fails before any WAV is read
         teacher = PacnModel.load(args.teacher) if args.teacher else None
         check_teacher(model_cfg, teacher, cfg)
     train_ds, val_ds, correction = load_training_split(
-        args.manifest, args.val_fraction, cfg.seed, args.threads,
-        args.exclude_device)
+        args.manifest, args.val_fraction, cfg.seed, args.exclude_device)
     if role == "teacher":
         result = train_teacher(model_cfg, train_ds, cfg, val_ds, correction)
     else:
@@ -90,8 +83,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = PacnModel.load(args.ckpt)
-    ds = load_dataset(args.manifest, args.threads,
-                      None if args.no_correction else model.correction)
+    ds = load_dataset(args.manifest, None if args.no_correction else model.correction)
     if args.subset_scores:
         seed = args.seed if args.seed is not None else 0
         subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
@@ -222,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Low-complexity acoustic scene classification toolkit")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the seed from config/spec files")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for feature extraction")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,8 +285,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(message)s")
     logging.getLogger().setLevel(level)
     try:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be positive, got {args.threads}")
         return args.func(args)
     except (PacnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,17 +139,15 @@ def write_eval_csv(path, result: EvalResult):
 
 
 def rank_matrix(scores: np.ndarray) -> np.ndarray:
-    """Per-subset ranks of a (methods, subsets) score matrix; 1 is best."""
-    # imported here: scipy.stats costs about 49 MiB of resident memory, and
-    # only the rank analysis needs it
-    from scipy.stats import rankdata
-
+    """Per-subset ranks of a (methods, subsets) score matrix; 1 is best, and
+    tied methods share their mean rank: 1 + #higher + (#equal - 1) / 2."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 1:
         raise UsageError(f"need a (methods >= 2, subsets >= 1) score matrix, "
                          f"got shape {scores.shape}")
-    return np.stack([rankdata(-scores[:, j], method="average")
-                     for j in range(scores.shape[1])], axis=1)
+    # [i, k, j]: how method k's score in subset j compares with method i's
+    others, own = scores[None, :, :], scores[:, None, :]
+    return 1 + (others > own).sum(axis=1) + ((others == own).sum(axis=1) - 1) / 2
 
 
 @dataclass

@@ -16,6 +16,7 @@ import math
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +92,12 @@ class PacnConfig(JsonConfig):
             raise ConfigError(f"unknown wiring mode {self.wiring_mode!r}; "
                               f"expected one of {WIRING_MODES}")
         return self
+
+
+def packaged_config(name: str) -> PacnConfig:
+    """The ``"student"`` or ``"teacher"`` config shipped with the package."""
+    text = (resources.files("pacn") / "configs" / f"{name}.json").read_text()
+    return PacnConfig.from_json(text)
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import N_FRAMES, N_MELS
+from .errors import ConfigError
 from .model import PacnConfig, PacnModel, layers
 from .tensor import Tensor, count_multiplies
 
@@ -85,11 +86,13 @@ def verify_against_runtime(config: PacnConfig) -> RuntimeCheck:
     nothing, and GRN is built from elementwise ops the tally ignores), so it
     must equal the profiler's kernel subtotal, not its grand total.
     """
-    report = profile(config)
     model = PacnModel(config, seed=0)
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal(
-        (1, config.in_channels, N_MELS, N_FRAMES)).astype(np.float32))
-    with count_multiplies() as tally:
-        model.forward(x, training=False)
-    return RuntimeCheck(runtime_macs=tally[0], kernel_macs=report.kernel_macs)
+    shape = (1, config.in_channels, N_MELS, N_FRAMES)
+    try:
+        x = Tensor(np.random.default_rng(0).standard_normal(shape).astype(np.float32))
+        with count_multiplies() as tally:
+            model.forward(x, training=False)
+    except MemoryError:
+        raise ConfigError(f"a check forward on a {shape} input needs more "
+                          "memory than is available") from None
+    return RuntimeCheck(runtime_macs=tally[0], kernel_macs=profile(config).kernel_macs)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evalstats, ops
-from .audio import (CLIP_SAMPLES, AudioClip, extract_feature, frame_and_window,
-                    read_wav, stft_magnitude)
+from .audio import (CLIP_SAMPLES, N_FRAMES, N_MELS, AudioClip, extract_feature,
+                    frame_and_window, read_wav, stft_magnitude)
 from .augment import (AugmentConfig, SpectrumCorrection, apply_mixup,
                       augment_clip, draw_mixup, estimate_correction)
 from .errors import (ConfigError, JsonConfig, TrainingError,
@@ -210,24 +210,27 @@ class Dataset:
 
 
 def extract_features(clips, correction: SpectrumCorrection | None = None,
-                     threads: int = 1) -> np.ndarray:
+                     threads: int | None = None) -> np.ndarray:
     """Stack clean per-clip features, optionally device-corrected; each device
-    the correction lacks passes through, warned once in first-appearance order."""
+    the correction lacks passes through, warned once in first-appearance order.
+    A pool of ``threads`` workers (default: one per usable CPU) extracts them."""
     coeffs = {} if correction is None else correction.coeffs
     unseen = () if correction is None else dict.fromkeys(
         c.device_id for c in clips if c.device_id not in coeffs)
     for dev in unseen:
         log.warning("no spectrum correction for device %r; passing through", dev)
 
-    def one(clip):
-        return extract_feature(clip, coeffs.get(clip.device_id)).feature
+    out = np.empty((len(clips), N_MELS, N_FRAMES, 2), dtype=np.float32)
 
-    if threads > 1 and len(clips) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            feats = list(pool.map(one, clips))
-    else:
-        feats = [one(c) for c in clips]
-    return np.stack(feats)
+    def one(i):     # numpy.fft releases the GIL; no bit depends on the pool
+        out[i] = extract_feature(clips[i], coeffs.get(clips[i].device_id)).feature
+
+    if threads is None:         # the CPUs this process may run on
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=min(threads, len(clips))) as pool:
+        list(pool.map(one, range(len(clips))))
+    return out
 
 
 def _read_clips(manifest_path, exclude_device: str | None = None):
@@ -251,16 +254,15 @@ def _read_clips(manifest_path, exclude_device: str | None = None):
                            r.device_id, r.city) for r in rows]
 
 
-def _dataset(rows, clips, correction: SpectrumCorrection | None,
-             threads: int) -> Dataset:
+def _dataset(rows, clips, correction: SpectrumCorrection | None) -> Dataset:
     return Dataset(clips=clips,
-                   features=extract_features(clips, correction, threads),
+                   features=extract_features(clips, correction),
                    labels=np.array([r.label_index for r in rows], dtype=np.int64),
                    devices=tuple(r.device_id for r in rows),
                    names=tuple(r.filename for r in rows))
 
 
-def load_dataset(manifest_path, threads: int = 1,
+def load_dataset(manifest_path,
                  correction: SpectrumCorrection | None = None) -> Dataset:
     """Read the clips a manifest lists (paths relative to it) into a Dataset.
 
@@ -268,11 +270,11 @@ def load_dataset(manifest_path, threads: int = 1,
     here.
     """
     rows, clips = _read_clips(manifest_path)
-    return _dataset(rows, clips, correction, threads)
+    return _dataset(rows, clips, correction)
 
 
 def load_training_split(manifest_path, val_fraction: float, seed: int,
-                        threads: int = 1, exclude_device: str | None = None):
+                        exclude_device: str | None = None):
     """(train, val, correction) for training on a manifest.
 
     The rows are split as ``split_train_val`` splits them, the correction is
@@ -285,7 +287,7 @@ def load_training_split(manifest_path, val_fraction: float, seed: int,
     if len(train_idx) == 0:
         raise UsageError("training dataset is empty")
     correction = estimate_dataset_correction([clips[i] for i in train_idx])
-    ds = _dataset(rows, clips, correction, threads)
+    ds = _dataset(rows, clips, correction)
     return ds.subset(train_idx), ds.subset(val_idx), correction
 
 

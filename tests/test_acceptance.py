@@ -252,7 +252,7 @@ class TestLearningSignal:
         start = time.time()
         # the CLI's split: the correction is fitted on the training rows only
         train_ds, val_ds, correction = load_training_split(
-            corpus / "manifest.tsv", 0.25, seed=3, threads=4)
+            corpus / "manifest.tsv", 0.25, seed=3)
 
         student = PacnConfig()          # reference low-complexity config
         cfg = TrainConfig(epochs=12, batch_size=16, warmup_epochs=3, seed=3,
@@ -268,7 +268,7 @@ class TestLearningSignal:
     def test_criterion_pure_distillation_closes_kl(self, corpus):
         from pacn.augment import AugmentConfig
 
-        ds = load_dataset(corpus / "manifest.tsv", threads=4)
+        ds = load_dataset(corpus / "manifest.tsv")
         per_class = [np.flatnonzero(ds.labels == c)[:60] for c in range(4)]
         sub = ds.subset(np.sort(np.concatenate(per_class)))
 

@@ -1,5 +1,4 @@
 import csv
-import importlib.resources as res
 import hashlib
 import itertools
 import math
@@ -18,7 +17,7 @@ from pacn.evalstats import (Q_ALPHA, draw_subsets, evaluate, format_eval_text,
                             friedman_test, nemenyi_cd, predict, rank_matrix,
                             rank_report, subset_accuracy_row, write_eval_csv,
                             write_rank_csv, write_rank_svg)
-from pacn.model import PacnConfig, PacnModel
+from pacn.model import PacnModel, packaged_config
 from pacn.tensor import Tensor
 
 
@@ -70,8 +69,7 @@ class TestPredict:
         # a 1-row forward sums the head FC in another order, so a lone last
         # clip would give logits that depend on the set's size
         monkeypatch.setattr(pacn.evalstats, "EVAL_BATCH", 3)
-        text = (res.files("pacn") / "configs" / "teacher.json").read_text()
-        model = PacnModel(PacnConfig.from_json(text), seed=0)
+        model = PacnModel(packaged_config("teacher"), seed=0)
         feats = np.random.default_rng(5).standard_normal(
             (5, 256, 65, 2)).astype(np.float32)
         four = pacn.evalstats.logits(model, feats[:4])
@@ -168,6 +166,24 @@ class TestRanks:
         scores = rng.random((5, 9))
         ranks = rank_matrix(scores)
         np.testing.assert_allclose(ranks.sum(axis=0), 5 * 6 / 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy_rankdata(self, data):
+        from scipy.stats import rankdata
+
+        k = data.draw(st.integers(2, 10), label="methods")
+        n = data.draw(st.integers(1, 12), label="subsets")
+        # few score levels, so ties are common; -0.0 ties with 0.0
+        levels = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-1, 1)
+        scores = np.array(data.draw(st.lists(levels, min_size=k * n,
+                                             max_size=k * n), label="scores"))
+        scores = scores.reshape(k, n)
+        want = np.stack([rankdata(-scores[:, j], method="average")
+                         for j in range(n)], axis=1)
+        got = rank_matrix(scores)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_validated(self):
         with pytest.raises(UsageError):

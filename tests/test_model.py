@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from pacn import ops
 from pacn.augment import SpectrumCorrection
 from pacn.errors import ConfigError, IngestionError, PacnError
-from pacn.model import WIRING_MODES, PacnConfig, PacnModel, features_to_input
+from pacn.model import (WIRING_MODES, PacnConfig, PacnModel, features_to_input,
+                        packaged_config)
 from pacn.profiler import profile
 from pacn.tensor import Tensor, backward, count_multiplies, no_grad, relu
 from pacn.train import Adam, kd_loss
@@ -34,12 +35,6 @@ TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
 
 def rand_input(rng, n=2, f=256, t=65, channels=2):
     return Tensor(rng.standard_normal((n, channels, f, t)).astype(np.float32))
-
-
-def packaged_config(name):
-    import importlib.resources as res
-    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
-    return PacnConfig.from_json(text)
 
 
 def warmed_model(cfg, seed=4):
@@ -527,11 +522,8 @@ class TestConfig:
         assert all(type(v) is int for v in ints)
 
     def test_shipped_configs_load(self):
-        import importlib.resources as res
-        for name in ("student.json", "teacher.json"):
-            text = (res.files("pacn") / "configs" / name).read_text()
-            cfg = PacnConfig.from_json(text)
-            assert cfg.num_classes == 10
+        for name in ("student", "teacher"):
+            assert packaged_config(name).num_classes == 10
 
     def test_features_to_input_layout(self):
         batch = np.zeros((3, 256, 65, 2), dtype=np.float32)

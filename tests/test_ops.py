@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacn.ops
-from pacn.cli import _packaged_config
 from pacn.errors import ConfigError
 from pacn.gradcheck import check_gradients
-from pacn.model import PacnModel
+from pacn.model import PacnModel, packaged_config
 from pacn.ops import (
     EPS,
     arn_forward,
@@ -427,7 +426,7 @@ class TestFoldedBsconv:
         ("student", {"pre.1"}), ("teacher", {"pre.0", "pre.1"})])
     def test_packaged_models_fold_only_few_input_channel_blocks(
             self, name, folded, monkeypatch):
-        model = PacnModel(_packaged_config(f"{name}.json"), seed=0)
+        model = PacnModel(packaged_config(name), seed=0)
         block_of = {id(t): path[:-len(".pw.weight")]
                     for path, t in model.params.items() if path.endswith(".pw.weight")}
         calls = {"_folded_bsconv": [], "pointwise_conv2d": []}

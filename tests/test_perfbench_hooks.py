@@ -45,8 +45,10 @@ def test_every_exported_op_is_wrapped():
 
 def test_pacn_imports_leave_scipy_stats_unloaded():
     # every benchmark run imports these; scipy.stats would add about 49 MiB
-    # of resident memory. A subprocess, since this session has loaded it.
+    # of resident memory. Nor does the rank analysis load it. A subprocess,
+    # since this session has loaded it.
     code = ("import sys, pacn.cli, pacn.train, pacn.evalstats; "
+            "pacn.evalstats.rank_report([[0.9, 0.8], [0.7, 0.8]], ['a', 'b']); "
             "print('scipy.stats' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,

@@ -2,12 +2,13 @@
 
 import csv
 import dataclasses
-import importlib.resources as res
+from types import SimpleNamespace
 
 import pytest
 
 from pacn import profiler
-from pacn.model import WIRING_MODES, PacnConfig, PacnModel, layers
+from pacn.cli import main
+from pacn.model import WIRING_MODES, PacnConfig, PacnModel, layers, packaged_config
 
 TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
             gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4, shuffle_groups=2,
@@ -18,8 +19,7 @@ TEACHER = dict(pre_channels=[12, 64], lci_channels=[64, 64],
 
 
 def packaged(name, **overrides):
-    text = (res.files("pacn") / "configs" / f"{name}.json").read_text()
-    return dataclasses.replace(PacnConfig.from_json(text), **overrides)
+    return dataclasses.replace(packaged_config(name), **overrides)
 
 
 PACKAGED_VARIANTS = [(name, mode, arn) for name in ("student", "teacher")
@@ -120,6 +120,26 @@ class TestCrossRoutes:
 
     def test_tiny_config_stays_tiny(self):
         assert profiler.profile(PacnConfig(**TINY)).total_params <= 200
+
+
+class TestCheckMemory:
+    def test_input_beyond_memory_fails_cleanly(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a million input channels: a 124 GiB float64 check input, which the
+        # stub refuses as numpy would, without allocating anything
+        wide = tmp_path / "wide.json"
+        wide.write_text(packaged("student", in_channels=1_000_000).to_json())
+
+        class NoMemory:
+            def standard_normal(self, shape):
+                raise MemoryError
+
+        monkeypatch.setattr(profiler, "np", SimpleNamespace(
+            random=SimpleNamespace(default_rng=lambda seed: NoMemory())))
+        assert main(["--quiet", "profile", "--config", str(wide), "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1 and "(1, 1000000, 256, 65)" in err
 
 
 class TestLayerTable:

@@ -3,7 +3,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,12 +318,26 @@ class TestDatasets:
         assert sorted(set(tiny_ds.devices)) == ["a", "b"]
         assert set(tiny_ds.labels.tolist()) == {0, 1, 2}
 
-    def test_threads_do_not_change_features(self, tiny_ds, tmp_path):
-        from pacn.train import extract_features
+    def test_threads_do_not_change_features(self, tiny_ds):
+        one = extract_features(tiny_ds.clips, threads=1)
+        assert one.tobytes() == extract_features(tiny_ds.clips, threads=2).tobytes()
+        assert one.tobytes() == extract_features(tiny_ds.clips).tobytes()
 
-        serial = extract_features(tiny_ds.clips, threads=1)
-        threaded = extract_features(tiny_ds.clips, threads=4)
-        np.testing.assert_array_equal(serial, threaded)
+    @pytest.mark.parametrize("cpus, clips, workers",
+                             [({0, 1}, 3, 2), ({1}, 3, 1), ({0, 1}, 1, 1)])
+    def test_pool_is_sized_by_the_affinity_mask(self, tiny_ds, monkeypatch,
+                                                cpus, clips, workers):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        monkeypatch.setattr(pacn.train, "ThreadPoolExecutor", pool)
+        extract_features(tiny_ds.clips[:clips])
+        assert sizes == [workers]
 
     def test_split_is_stratified_and_deterministic(self, tiny_ds):
         tr1, va1 = split_train_val(tiny_ds, 1 / 3, seed=7)
@@ -418,7 +434,7 @@ class TestDatasets:
             [c for c in tiny_ds.clips if c.device_id == "a"])
         clips = [c for c in tiny_ds.clips if c.device_id == "b"] * 4
         with caplog.at_level(logging.WARNING):
-            feats = extract_features(clips, corr, threads=4)
+            feats = extract_features(clips, corr, threads=2)
         assert [r.getMessage() for r in caplog.records] \
             == ["no spectrum correction for device 'b'; passing through"]
         np.testing.assert_array_equal(feats, extract_features(clips))
