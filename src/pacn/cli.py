@@ -175,10 +175,15 @@ def cmd_augment_preview(args) -> int:
         raise UsageError(f"--count must be positive, got {args.count}")
     rows = parse_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
+    previews = {}                           # output file stem -> row
+    for r in rows[:args.count]:
+        stem = os.path.splitext(os.path.basename(r.filename))[0]
+        if stem in previews:
+            raise UsageError(f"rows {previews[stem].filename} and {r.filename} "
+                             f"would both write {stem}_*.wav previews")
+        previews[stem] = r
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
-    count = min(args.count, len(rows))
-    written = []
     clips = {}
 
     def load(r):
@@ -188,9 +193,8 @@ def cmd_augment_preview(args) -> int:
                                   r.device_id, r.city)
         return clips[key]
 
-    for r in rows[:count]:
+    for stem, r in previews.items():
         clip = load(r)
-        stem = os.path.splitext(os.path.basename(r.filename))[0]
         write_wav(os.path.join(args.out, f"{stem}_orig.wav"), clip.samples)
         same_label = [q for q in rows if q.scene_label == r.scene_label]
         pool = [load(q) for q in same_label[:8]]
@@ -200,8 +204,7 @@ def cmd_augment_preview(args) -> int:
                   shifted.samples)
         out = augment_clip(clip, pool, rng, TrainConfig().augment)
         write_wav(os.path.join(args.out, f"{stem}_policy.wav"), out.samples)
-        written.append(stem)
-    print(f"wrote {3 * len(written)} preview files under {args.out}")
+    print(f"wrote {3 * len(previews)} preview files under {args.out}")
     return 0
 
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io.wavfile
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,26 @@ from pacn.errors import IngestionError, UsageError
 
 # (format tag, bits per sample): 8-, 16- and 32-bit PCM, 32-bit float
 WAV_FORMATS = [(1, 8), (1, 16), (1, 32), (3, 32)]
+# (format tag, bits per sample, bytes per sample): every format read_wav
+# reads, bits short of their container, 64-bit PCM (which the scipy-based
+# reader rejected after reading it), 16-bit float and A-law. A bit depth
+# its container contradicts is tested on its own.
+ORACLE_FORMATS = [(1, 8, 1), (1, 12, 2), (1, 16, 2), (1, 20, 3), (1, 24, 3),
+                  (1, 32, 4), (3, 32, 4), (3, 64, 8), (1, 64, 8), (3, 16, 2),
+                  (6, 8, 1)]
+SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(chunk_id: bytes, body: bytes, size=None) -> bytes:
+    """A RIFF chunk, with the pad byte after an odd-sized body; ``size``
+    overrides the size field."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) % 2)
+
+
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def wav_bytes(rate, channels, tag, bits, payload) -> bytes:
@@ -24,10 +45,37 @@ def wav_bytes(rate, channels, tag, bits, payload) -> bytes:
     align = channels * bits // 8
     fmt = struct.pack("<HHIIHH", tag, channels, rate,
                       (rate * align) % 2 ** 32, align, bits)
-    data = payload + b"\0" * (len(payload) % 2)
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(payload)) + data)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+    return riff(chunk(b"fmt ", fmt), chunk(b"data", payload))
+
+
+def scipy_clip(raw: bytes):
+    """The clip the scipy-based ``read_wav`` made of a WAV file, or None
+    where it raised IngestionError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
+            rate, data = scipy.io.wavfile.read(io.BytesIO(raw))
+    except Exception:
+        return None
+    if rate == 0:
+        return None
+    if data.dtype == np.uint8:
+        offset, full_scale = 128.0, 128.0
+    elif data.dtype in (np.int16, np.int32):
+        offset, full_scale = 0.0, float(2 ** (8 * data.itemsize - 1))
+    elif data.dtype.kind == "f":
+        offset, full_scale = 0.0, 1.0
+    else:
+        return None
+
+    def mono(frames):
+        x = np.subtract(frames, offset, dtype=np.float64)
+        x /= full_scale
+        return x.mean(axis=1) if x.ndim == 2 else x
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        clip = audio.to_clip(data, audio.SAMPLE_RATE / rate, mono)
+    return clip if np.isfinite(clip).all() else None
 
 
 def resample_then_fit(samples, ratio):
@@ -113,8 +161,8 @@ class TestReadWav:
         finally:
             tracemalloc.stop()
         assert clip.samples.tobytes() == whole.tobytes()
-        # the whole file in float64 would be 4x the raw array, its mean 2x
-        assert peak < raw.nbytes + (4 << 20)
+        # only the kept second's bytes are read: the file is 11-23 MB
+        assert peak < 4 << 20
 
     def test_24_bit_pcm_scales_by_two_to_the_23(self):
         # scipy reads 3-byte samples into the top of an int32
@@ -150,6 +198,87 @@ class TestReadWav:
         assert clip.samples.dtype == np.float32
         assert clip.samples.shape == (audio.CLIP_SAMPLES,)
         assert np.isfinite(clip.samples).all()
+
+    @settings(max_examples=400, deadline=None)
+    @given(fmt=st.sampled_from(ORACLE_FORMATS), channels=st.integers(1, 3),
+           rate=st.one_of(st.sampled_from([8000, 22050, 44100, 48000]),
+                          st.sampled_from([1, 44099, 96000, 2 ** 31,
+                                           2 ** 32 - 1]),
+                          st.integers(0, 2 ** 32 - 1)),
+           frames=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1),
+           extensible=st.sampled_from(["no", "no", "yes", "yes", "bad guid"]),
+           layout=st.sampled_from(["fmt data"] * 4 + ["data fmt", "data"]),
+           extra=st.lists(st.tuples(st.sampled_from([b"LIST", b"fact", b"JUNK",
+                                                     b"bext"]),
+                                    st.integers(0, 3), st.integers(0, 33)),
+                          max_size=4),
+           cut=st.sampled_from([0, 0, 0, 1, 3]),
+           overrun=st.sampled_from([0, 0, 0, 1, 2, 6, 4096]))
+    def test_reads_what_scipy_reads_and_rejects_what_it_rejects(
+            self, fmt, channels, rate, frames, seed, extensible, layout, extra,
+            cut, overrun):
+        """scipy.io.wavfile is the oracle: same clip bits where it reads the
+        file, IngestionError where it raises. ``extra`` chunks go before the
+        first chunk (0), between (1), after the last (2) or not at all (3);
+        ``cut`` drops trailing data bytes, ``overrun`` declares more data than
+        the file holds."""
+        tag, bits, width = fmt
+        align = channels * width
+        rng = np.random.default_rng(seed)
+        if tag == 3 and width in (4, 8):
+            payload = rng.uniform(-1.5, 1.5, frames * channels).astype(
+                f"<f{width}").tobytes()
+        else:
+            payload = rng.integers(0, 256, frames * align, dtype=np.uint8).tobytes()
+        payload = payload[:max(len(payload) - cut, 0)]
+        fmt_body = struct.pack("<HHIIHH", 0xFFFE if extensible != "no" else tag,
+                               channels, rate, (rate * align) % 2 ** 32, align,
+                               bits)
+        if extensible != "no":
+            tail = SUBTYPE_GUID_TAIL if extensible == "yes" else b"\x01" * 12
+            fmt_body += struct.pack("<HHII", 22, bits, 0, tag) + tail
+        data = chunk(b"data", payload,
+                     len(payload) + overrun if overrun else None)
+        chunks = {"fmt data": [chunk(b"fmt ", fmt_body), data],
+                  "data fmt": [data, chunk(b"fmt ", fmt_body)],
+                  "data": [data]}[layout]
+        if overrun:                         # the data chunk must come last
+            chunks.remove(data)
+            chunks.append(data)
+        for chunk_id, where, size in extra:
+            if where < 3 and not (overrun and where == 2):
+                chunks.insert(min(where, len(chunks)),
+                              chunk(chunk_id, rng.bytes(size)))
+        raw = riff(*chunks)
+        want = scipy_clip(raw)
+        if want is None:
+            with pytest.raises(IngestionError):
+                audio.read_wav(io.BytesIO(raw))
+        else:
+            got = audio.read_wav(io.BytesIO(raw)).samples
+            assert got.tobytes() == want.tobytes()
+
+    def test_path_and_file_object_read_alike(self, tmp_path):
+        raw = np.random.default_rng(8).integers(-2 ** 15, 2 ** 15, (30000, 2),
+                                                dtype=np.int16)
+        path = tmp_path / "st.wav"
+        scipy.io.wavfile.write(path, 32000, raw)
+        from_path = audio.read_wav(path).samples
+        assert audio.read_wav(io.BytesIO(path.read_bytes())).samples.tobytes() \
+            == from_path.tobytes() == scipy_clip(path.read_bytes()).tobytes()
+
+    @pytest.mark.parametrize("tag, bits, width", [(1, 8, 2), (1, 24, 2),
+                                                  (1, 32, 3), (3, 32, 2),
+                                                  (3, 64, 4), (3, 32, 8)])
+    def test_bit_depth_its_container_contradicts_rejected(self, tag, bits, width):
+        # scipy.io.wavfile reads these by the block align alone (8 or fewer
+        # bits as one byte per sample, whatever the container); the header
+        # contradicts itself, so read_wav does not guess
+        fmt = struct.pack("<HHIIHH", tag, 1, 8000, 8000 * width, width, bits)
+        raw = riff(chunk(b"fmt ", fmt), chunk(b"data", b"\x10" * 8 * width))
+        assert scipy_clip(raw) is not None
+        with pytest.raises(IngestionError, match="unsupported sample format"):
+            audio.read_wav(io.BytesIO(raw))
 
     def test_signalling_nan_float_wav_rejected_without_warning(self):
         snan = np.array([0, 0x7F800001, 0], dtype="<u4").tobytes()
@@ -265,6 +394,29 @@ class TestMelFilterbank:
     def test_zero_spectrum_hits_log_floor(self):
         out = audio.mel_log(np.zeros((1, 2049)))
         np.testing.assert_allclose(out, np.log(1e-10), rtol=1e-6)
+
+
+class TestMelLog:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 65),
+           scale=st.sampled_from([1e-12, 1.0, 1e6, "near float32 max"]),
+           gains=st.booleans(), zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_matches_csr_product_bitwise(self, seed, frames, scale, gains,
+                                         zero_share):
+        rng = np.random.default_rng(seed)
+        power = rng.exponential(size=(frames, audio.N_BINS))
+        if gains:
+            power *= rng.uniform(0.2, 5.0, audio.N_BINS) ** 2
+        if scale == "near float32 max":     # band sums overflow to inf
+            power *= 0.999 * float(np.finfo(np.float32).max) / power.max()
+        else:
+            power *= scale
+        power[rng.random(frames) < zero_share] = 0.0
+        csr = scipy.sparse.csr_matrix(audio.mel_filterbank().astype(np.float32))
+        want = np.log(csr @ power.astype(np.float32).T + audio.LOG_FLOOR)
+        got = audio.mel_log(power)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDelta:

@@ -2,9 +2,13 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import pathlib
 import shlex
 import shutil
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,6 +23,8 @@ from pacn.evalstats import evaluate, write_eval_csv
 from pacn.audio import write_wav
 from pacn.manifest import parse_manifest, write_manifest
 from pacn.model import packaged_config
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 TINY_MODEL = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
                   gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4,
@@ -611,6 +617,70 @@ class TestAugmentPreview:
                    "--out", tmp_path / "prev", "--count", "2") == 0
         # both previewed clips are in their shared pool of 8: 8 distinct reads
         assert len(calls) == len(set(calls)) == 8
+
+    def test_rows_sharing_a_file_stem_fail_before_writing(self, work, tmp_path,
+                                                          capsys):
+        header, first, second = (work / "data" / "manifest.tsv").read_text() \
+            .splitlines()[:3]
+        for sub, row in (("a", first), ("b", second)):
+            (tmp_path / sub).mkdir()
+            name = row.split("\t")[0]
+            shutil.copy(work / "data" / name, tmp_path / sub / "x.wav")
+            row = row.replace(name, f"{sub}/x.wav", 1)
+            header += "\n" + row
+        (tmp_path / "m.tsv").write_text(header + "\n")
+        (tmp_path / "prev").mkdir()
+        err = fails_cleanly(capsys, "--quiet", "augment-preview",
+                            "--manifest", tmp_path / "m.tsv",
+                            "--out", tmp_path / "prev", "--count", "2")
+        assert len(err.splitlines()) == 1
+        assert "a/x.wav" in err and "b/x.wav" in err
+        assert list((tmp_path / "prev").iterdir()) == []
+
+
+class TestWithoutScipy:
+    def test_every_command_runs_with_scipy_imports_refused(self, work, tmp_path):
+        # SciPy is a test oracle only: a process that cannot import it still
+        # runs every command
+        scores = tmp_path / "scores.csv"
+        scores.write_text("method,s1,s2,s3\nours,0.9,0.8,0.7\n"
+                          "base,0.8,0.7,0.7\n")
+        data, manifest = tmp_path / "data", tmp_path / "data" / "manifest.tsv"
+        commands = [
+            ["synth-data", "--spec", work / "spec.json", "--out", data],
+            ["train-teacher", "--config", work / "train.json",
+             "--model-config", work / "model.json", "--manifest", manifest,
+             "--out", tmp_path / "t.ckpt", "--val-fraction", "0.25"],
+            ["train-student", "--config", work / "kd.json",
+             "--model-config", work / "model.json", "--manifest", manifest,
+             "--teacher", tmp_path / "t.ckpt", "--out", tmp_path / "s.ckpt",
+             "--val-fraction", "0.25"],
+            ["eval", "--ckpt", tmp_path / "s.ckpt", "--manifest", manifest],
+            ["significance", "--scores", scores],
+            ["augment-preview", "--manifest", manifest,
+             "--out", tmp_path / "prev", "--count", "2"],
+            ["profile", "--config", work / "model.json", "--check"],
+        ]
+        code = textwrap.dedent("""
+            import json, sys
+
+            class RefuseScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is refused")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            from pacn.cli import main
+            print(json.dumps([main(["--quiet", *argv])
+                              for argv in json.loads(sys.argv[1])]))
+        """)
+        argv = json.dumps([[str(a) for a in c] for c in commands])
+        proc = subprocess.run([sys.executable, "-c", code, argv],
+                              capture_output=True, text=True, timeout=600,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), \
+            proc.stderr
 
 
 class TestArgHandling:

@@ -43,18 +43,25 @@ def test_every_exported_op_is_wrapped():
     assert [f for f in ops if callable(f) and f.__module__ != "pacn.ops"] == []
 
 
-def test_pacn_imports_leave_scipy_stats_unloaded():
-    # every benchmark run imports these; scipy.stats would add about 49 MiB
-    # of resident memory. Nor does the rank analysis load it. A subprocess,
-    # since this session has loaded it.
-    code = ("import sys, pacn.cli, pacn.train, pacn.evalstats; "
-            "pacn.evalstats.rank_report([[0.9, 0.8], [0.7, 0.8]], ['a', 'b']); "
-            "print('scipy.stats' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
+def test_pacn_loads_no_scipy_module(tmp_path):
+    # SciPy is a test oracle, not a runtime dependency: importing it would
+    # add about 16 MiB to every benchmark process. A subprocess, since the
+    # test process has loaded it.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import pacn.cli, pacn.train
+        from pacn import audio, evalstats
+        audio.write_wav(sys.argv[1], np.zeros(audio.CLIP_SAMPLES, dtype=np.float32))
+        audio.extract_feature(audio.read_wav(sys.argv[1]))
+        evalstats.rank_report([[0.9, 0.8], [0.7, 0.8]], ["a", "b"])
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.wav")],
+                          capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
