@@ -44,7 +44,7 @@ class AudioClip:
 
 @dataclass
 class FeatureClip:
-    feature: np.ndarray                     # (256, 65, 2) float32
+    feature: np.ndarray                     # (2, 256, 65) float32: log-Mel, delta
 
 
 def to_clip(samples, ratio: float, convert=np.asarray) -> np.ndarray:
@@ -282,7 +282,7 @@ def mel_log(power: np.ndarray) -> np.ndarray:
     gather forms every product, then one contiguous add per step."""
     cols, weights, steps, unsort = _mel_steps()
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.take(power.T.astype(np.float32, order="C"), cols, axis=0)
+        prod = np.take(power.astype(np.float32).T, cols, axis=0)
         prod *= weights
         banded = np.zeros((N_MELS, len(power)), dtype=np.float32)
         for count, offset in steps:
@@ -307,5 +307,4 @@ def extract_feature(clip: AudioClip, spectrum_coeffs: np.ndarray | None = None) 
         power *= np.square(spectrum_coeffs, dtype=np.float64)
     logmel = mel_log(power)
     delta = delta_coefficients(logmel)
-    feature = np.stack([logmel, delta], axis=-1).astype(np.float32)
-    return FeatureClip(feature=feature)
+    return FeatureClip(feature=np.stack([logmel, delta]))

@@ -39,6 +39,21 @@ log = logging.getLogger(__name__)
 # -- subcommand handlers ---------------------------------------------------------
 
 
+def _check_outputs(outputs, inputs):
+    """Fail with ``UsageError`` if an output would write over an input or
+    over another output; call it before reading any input. Each is a
+    (name, path) pair; a None path is skipped."""
+    taken = {os.path.realpath(path): f"{name} {path}"
+             for name, path in inputs if path is not None}
+    for name, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in taken:
+            raise UsageError(f"{name} {path} would overwrite {taken[real]}")
+        taken[real] = f"{name} {path}"
+
+
 def cmd_synth_data(args) -> int:
     spec = SynthSpec.from_file(args.spec)
     if args.seed is not None:
@@ -55,6 +70,12 @@ def cmd_train(args) -> int:
     manifest, minus any excluded device, then save it, with the spectrum
     correction fitted on its training split, and its metrics."""
     role = args.command.removeprefix("train-")
+    metrics = args.metrics or f"{args.out}.metrics.csv"
+    _check_outputs([("--out", args.out), ("metrics CSV", metrics),
+                    ("metrics sidecar", f"{metrics}.meta.json")],
+                   [("--manifest", args.manifest), ("--config", args.config),
+                    ("--model-config", args.model_config),
+                    ("--teacher", getattr(args, "teacher", None))])
     cfg = TrainConfig.from_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -72,7 +93,7 @@ def cmd_train(args) -> int:
         result = train_student_kd(model_cfg, teacher, train_ds, cfg, val_ds,
                                   correction)
     result.model.save(args.out)
-    write_metrics(args.metrics or f"{args.out}.metrics.csv", result)
+    write_metrics(metrics, result)
     last = result.metrics[-1]
     final = f"train_acc {last.train_acc:.4f}"
     if last.val_acc is not None:
@@ -82,6 +103,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs([("--report", args.report),
+                    ("--subset-scores", args.subset_scores)],
+                   [("--ckpt", args.ckpt), ("--manifest", args.manifest)])
     model = PacnModel.load(args.ckpt)
     ds = load_dataset(args.manifest, None if args.no_correction else model.correction)
     if args.subset_scores:
@@ -102,6 +126,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    _check_outputs([("--csv", args.csv)], [("--config", args.config)])
     config = PacnConfig.from_file(args.config)
     report = profile(config)
     print(report.format_text())
@@ -154,9 +179,8 @@ def _read_scores_csv(path):
 
 def cmd_significance(args) -> int:
     prefix = args.out or os.path.splitext(args.scores)[0] + "_ranks"
-    for out in (prefix + ".csv", prefix + ".svg"):
-        if os.path.realpath(out) == os.path.realpath(args.scores):
-            raise UsageError(f"--out {prefix} would overwrite --scores {args.scores}")
+    _check_outputs([("--out", prefix + ".csv"), ("--out", prefix + ".svg")],
+                   [("--scores", args.scores)])
     scores, names = _read_scores_csv(args.scores)
     report = rank_report(scores, names, alpha=args.alpha)
     write_rank_csv(prefix + ".csv", report)
@@ -288,6 +312,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(message)s")
     logging.getLogger().setLevel(level)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (PacnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

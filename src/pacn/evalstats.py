@@ -37,7 +37,7 @@ EVAL_BATCH = 64
 
 
 def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
-    """Inference-mode logits for a (n, 256, 65, 2) feature stack, forwarded
+    """Inference-mode logits for a (n, 2, 256, 65) feature stack, forwarded
     ``EVAL_BATCH`` clips at a time.
 
     A one-row forward runs the head as a matrix-vector product, which sums
@@ -56,7 +56,7 @@ def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
 
 
 def predict(model: PacnModel, features: np.ndarray) -> np.ndarray:
-    """Class predictions for a (n, 256, 65, 2) feature stack.
+    """Class predictions for a (n, 2, 256, 65) feature stack.
 
     Ties resolve to the lowest class index (first argmax).
     """

@@ -196,8 +196,8 @@ def layers(config: PacnConfig) -> list[Layer]:
 
 
 def features_to_input(batch: np.ndarray) -> Tensor:
-    """(n, 256, 65, 2) feature stack -> (n, 2, 256, 65) network input."""
-    return Tensor(np.ascontiguousarray(batch.transpose(0, 3, 1, 2)))
+    """(n, 2, 256, 65) feature stack -> network input, not copied: no op writes into it."""
+    return Tensor(np.ascontiguousarray(batch))
 
 
 class PacnModel:

@@ -192,7 +192,7 @@ class Dataset:
     """Clips with their cached clean features, aligned index-for-index."""
 
     clips: list[AudioClip]
-    features: np.ndarray                # (n, 256, 65, 2) float32
+    features: np.ndarray                # (n, 2, 256, 65) float32
     labels: np.ndarray                  # (n,) int64
     devices: tuple[str, ...]
     names: tuple[str, ...]              # stable ids keying RNG streams
@@ -220,7 +220,7 @@ def extract_features(clips, correction: SpectrumCorrection | None = None,
     for dev in unseen:
         log.warning("no spectrum correction for device %r; passing through", dev)
 
-    out = np.empty((len(clips), N_MELS, N_FRAMES, 2), dtype=np.float32)
+    out = np.empty((len(clips), 2, N_MELS, N_FRAMES), dtype=np.float32)
 
     def one(i):     # numpy.fft releases the GIL; no bit depends on the pool
         out[i] = extract_feature(clips[i], coeffs.get(clips[i].device_id)).feature
@@ -233,11 +233,8 @@ def extract_features(clips, correction: SpectrumCorrection | None = None,
     return out
 
 
-def _read_clips(manifest_path, exclude_device: str | None = None):
-    """The manifest's rows, minus ``exclude_device``'s, and their clips.
-
-    Rows are dropped before any WAV is read; each kept WAV is read once.
-    """
+def _manifest_rows(manifest_path, exclude_device: str | None = None):
+    """The manifest's rows, minus ``exclude_device``'s; no WAV is read."""
     rows = parse_manifest(manifest_path)
     if not rows:
         raise UsageError(f"{manifest_path} lists no clips")
@@ -249,9 +246,14 @@ def _read_clips(manifest_path, exclude_device: str | None = None):
             raise UsageError(f"all clips recorded by device {exclude_device!r}; "
                              "nothing left to train on")
         rows = kept
+    return rows
+
+
+def _read_clips(manifest_path, rows) -> list[AudioClip]:
+    """The rows' clips, each WAV read once."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    return rows, [read_wav(os.path.join(base, r.filename), r.label_index,
-                           r.device_id, r.city) for r in rows]
+    return [read_wav(os.path.join(base, r.filename), r.label_index,
+                     r.device_id, r.city) for r in rows]
 
 
 def _dataset(rows, clips, correction: SpectrumCorrection | None) -> Dataset:
@@ -269,8 +271,8 @@ def load_dataset(manifest_path,
     ``correction``, if given, is applied to the features; nothing is fitted
     here.
     """
-    rows, clips = _read_clips(manifest_path)
-    return _dataset(rows, clips, correction)
+    rows = _manifest_rows(manifest_path)
+    return _dataset(rows, _read_clips(manifest_path, rows), correction)
 
 
 def load_training_split(manifest_path, val_fraction: float, seed: int,
@@ -279,13 +281,15 @@ def load_training_split(manifest_path, val_fraction: float, seed: int,
 
     The rows are split as ``split_train_val`` splits them, the correction is
     fitted on the training part only, and then every feature is extracted
-    once with it, so no validation clip reaches the fit.
+    once with it, so no validation clip reaches the fit. The rows are split
+    before any WAV is read.
     """
-    rows, clips = _read_clips(manifest_path, exclude_device)
+    rows = _manifest_rows(manifest_path, exclude_device)
     labels = np.array([r.label_index for r in rows], dtype=np.int64)
     train_idx, val_idx = _split_indices(labels, val_fraction, seed)
     if len(train_idx) == 0:
         raise UsageError("training dataset is empty")
+    clips = _read_clips(manifest_path, rows)
     correction = estimate_dataset_correction([clips[i] for i in train_idx])
     ds = _dataset(rows, clips, correction)
     return ds.subset(train_idx), ds.subset(val_idx), correction

@@ -188,12 +188,12 @@ class TestFeatureGeometry:
         rng = np.random.default_rng(21)
         clip = AudioClip(samples=rng.normal(size=44100).astype(np.float32) * 0.1)
         feat = extract_feature(clip).feature
-        assert feat.shape == (256, 65, 2)
+        assert feat.shape == (2, 256, 65)
         assert feat.dtype == np.float32
 
         silent = extract_feature(AudioClip(samples=np.zeros(44100,
                                                             np.float32)))
-        np.testing.assert_array_equal(silent.feature[:, :, 1],
+        np.testing.assert_array_equal(silent.feature[1],
                                       np.zeros((256, 65), np.float32))
         const = np.full((256, 65), -3.7, dtype=np.float32)
         np.testing.assert_array_equal(delta_coefficients(const),

@@ -23,6 +23,7 @@ from pacn.evalstats import evaluate, write_eval_csv
 from pacn.audio import write_wav
 from pacn.manifest import parse_manifest, write_manifest
 from pacn.model import packaged_config
+from pacn.synth import SynthSpec, generate_synth_dataset
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -259,6 +260,102 @@ class TestTraining:
                    "--manifest", work / "data" / "manifest.tsv",
                    "--out", "x.ckpt") == 1
         assert "no_such_config.json" in capsys.readouterr().err
+
+    def test_val_fraction_checked_before_reading_wavs(self, work, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text((work / "data" / "manifest.tsv").read_text())
+        err = fails_cleanly(capsys, "--quiet", "train-teacher",
+                            "--config", work / "train.json",
+                            "--model-config", work / "model.json",
+                            "--manifest", manifest, "--out", tmp_path / "t.ckpt",
+                            "--val-fraction", "1.5")
+        # the manifest's WAVs are not beside the copy: none was opened
+        assert "val_fraction must lie in [0, 1), got 1.5" in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+
+
+class TestOutputsSpareInputs:
+    """No command writes over one of its inputs, or twice to one file."""
+
+    @pytest.fixture
+    def data(self, work, tmp_path):
+        shutil.copytree(work / "data", tmp_path / "data")
+        shutil.copy(work / "teacher.ckpt", tmp_path / "t.ckpt")
+        return tmp_path
+
+    def fails_unchanged(self, capsys, monkeypatch, data, *argv):
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+        err = fails_cleanly(capsys, "--quiet", *argv)
+        assert "would overwrite" in err
+        assert calls == []
+        assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
+        return err
+
+    def test_eval_report_over_its_manifest(self, data, capsys, monkeypatch):
+        manifest = data / "data" / "manifest.tsv"
+        err = self.fails_unchanged(capsys, monkeypatch, data, "eval",
+                                   "--ckpt", data / "t.ckpt",
+                                   "--manifest", manifest, "--report", manifest)
+        assert f"--report {manifest} would overwrite --manifest {manifest}" in err
+
+    def test_eval_subset_scores_over_its_checkpoint(self, data, capsys,
+                                                    monkeypatch):
+        self.fails_unchanged(capsys, monkeypatch, data, "eval",
+                             "--ckpt", data / "t.ckpt",
+                             "--manifest", data / "data" / "manifest.tsv",
+                             "--subset-scores", data / "data" / ".." / "t.ckpt")
+
+    def test_eval_report_and_subset_scores_one_file(self, data, capsys,
+                                                    monkeypatch):
+        err = self.fails_unchanged(capsys, monkeypatch, data, "eval",
+                                   "--ckpt", data / "t.ckpt",
+                                   "--manifest", data / "data" / "manifest.tsv",
+                                   "--report", data / "e.csv",
+                                   "--subset-scores", data / "e.csv")
+        assert "--subset-scores" in err and "--report" in err
+
+    @pytest.mark.parametrize("flag", ["--metrics", "--out"])
+    def test_teacher_outputs_over_its_manifest(self, work, data, capsys,
+                                               monkeypatch, flag):
+        manifest = data / "data" / "manifest.tsv"
+        outputs = {"--out": data / "t2.ckpt", flag: manifest}
+        self.fails_unchanged(capsys, monkeypatch, data, "train-teacher",
+                             "--config", work / "train.json",
+                             "--model-config", work / "model.json",
+                             "--manifest", manifest,
+                             *(a for kv in outputs.items() for a in kv))
+
+    @pytest.mark.parametrize("flag", ["--config", "--model-config", "--teacher"])
+    def test_student_metrics_over_an_input(self, work, data, capsys,
+                                           monkeypatch, flag):
+        inputs = {"--config": data / "kd.json", "--model-config": data / "m.json",
+                  "--teacher": data / "t.ckpt"}
+        shutil.copy(work / "kd.json", inputs["--config"])
+        shutil.copy(work / "model.json", inputs["--model-config"])
+        self.fails_unchanged(capsys, monkeypatch, data, "train-student",
+                             *(a for kv in inputs.items() for a in kv),
+                             "--manifest", data / "data" / "manifest.tsv",
+                             "--out", data / "s.ckpt", "--metrics", inputs[flag])
+
+    @pytest.mark.parametrize("out, metrics", [("s.ckpt", "s.ckpt"),
+                                              ("s.csv.meta.json", "s.csv")])
+    def test_training_outputs_one_file(self, work, data, capsys, monkeypatch,
+                                       out, metrics):
+        # --metrics m also writes m.meta.json
+        self.fails_unchanged(capsys, monkeypatch, data, "train-teacher",
+                             "--config", work / "train.json",
+                             "--model-config", work / "model.json",
+                             "--manifest", data / "data" / "manifest.tsv",
+                             "--out", data / out, "--metrics", data / metrics)
+
+    def test_profile_csv_over_its_config(self, work, data, capsys, monkeypatch):
+        shutil.copy(work / "model.json", data / "m.json")
+        self.fails_unchanged(capsys, monkeypatch, data, "profile",
+                             "--config", data / "m.json", "--csv", data / "m.json")
 
 
 class TestEval:
@@ -820,3 +917,44 @@ class TestArgHandling:
                       "--subset-scores", tmp_path / "s.csv", "--subsets", "0")
         assert not (tmp_path / "e.csv").exists()
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        "synth-data", "train-teacher", "train-student", "eval",
+        "augment-preview"])
+    def test_negative_seed_fails_before_any_work(self, work, tmp_path, capsys,
+                                                 command):
+        data = work / "data"
+        argv = {
+            "synth-data": ["--spec", work / "spec.json", "--out", tmp_path / "d"],
+            "train-teacher": ["--config", work / "train.json",
+                              "--model-config", work / "model.json",
+                              "--manifest", data / "manifest.tsv",
+                              "--out", tmp_path / "t.ckpt"],
+            "train-student": ["--config", work / "kd.json",
+                              "--model-config", work / "model.json",
+                              "--teacher", work / "teacher.ckpt",
+                              "--manifest", data / "manifest.tsv",
+                              "--out", tmp_path / "s.ckpt"],
+            "eval": ["--ckpt", work / "teacher.ckpt",
+                     "--manifest", data / "manifest.tsv",
+                     "--report", tmp_path / "e.csv",
+                     "--subset-scores", tmp_path / "s.csv"],
+            "augment-preview": ["--manifest", data / "manifest.tsv",
+                                "--out", tmp_path / "p"],
+        }[command]
+        err = fails_cleanly(capsys, "--quiet", "--seed", "-1", command, *argv)
+        assert err == "error: --seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_library_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        # the documented feature layout and calls run as written
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        snippet = readme.split("## Library use")[1].split("```python\n")[1] \
+            .split("```")[0]
+        generate_synth_dataset(SynthSpec(classes=5, clips_per_class=1,
+                                         devices=1, seed=4), tmp_path / "data")
+        pacn.model.PacnModel(packaged_config("student"), seed=0).save(
+            tmp_path / "student.ckpt")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, "README.md", "exec"), {})
+        assert 0 <= int(capsys.readouterr().out) < 10

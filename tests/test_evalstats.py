@@ -42,7 +42,7 @@ class StubModel:
 def stub_dataset(labels, devices=None):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-    return SimpleNamespace(features=np.zeros((n, 256, 65, 2), dtype=np.float32),
+    return SimpleNamespace(features=np.zeros((n, 2, 256, 65), dtype=np.float32),
                            labels=labels,
                            devices=tuple(devices or ["a"] * n))
 
@@ -56,7 +56,7 @@ class TestPredict:
     def test_empty_rejected(self):
         model = StubModel(np.zeros((0, 10)))
         with pytest.raises(UsageError):
-            predict(model, np.zeros((0, 256, 65, 2), dtype=np.float32))
+            predict(model, np.zeros((0, 2, 256, 65), dtype=np.float32))
 
     def test_batching_matches_labels(self, monkeypatch):
         monkeypatch.setattr(pacn.evalstats, "EVAL_BATCH", 3)
@@ -71,7 +71,7 @@ class TestPredict:
         monkeypatch.setattr(pacn.evalstats, "EVAL_BATCH", 3)
         model = PacnModel(packaged_config("teacher"), seed=0)
         feats = np.random.default_rng(5).standard_normal(
-            (5, 256, 65, 2)).astype(np.float32)
+            (5, 2, 256, 65)).astype(np.float32)
         four = pacn.evalstats.logits(model, feats[:4])
         five = pacn.evalstats.logits(model, feats)
         assert four.tobytes() == five[:4].tobytes()

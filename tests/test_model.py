@@ -526,11 +526,19 @@ class TestConfig:
             assert packaged_config(name).num_classes == 10
 
     def test_features_to_input_layout(self):
-        batch = np.zeros((3, 256, 65, 2), dtype=np.float32)
-        batch[1, 10, 20, 1] = 5.0
+        batch = np.zeros((3, 2, 256, 65), dtype=np.float32)
+        batch[1, 1, 10, 20] = 5.0
         x = features_to_input(batch)
         assert x.shape == (3, 2, 256, 65)
         assert x.data[1, 1, 10, 20] == 5.0
+
+    def test_features_to_input_wraps_a_contiguous_stack(self):
+        # the feature layout is the network's: the input is not copied
+        batch = np.random.default_rng(0).standard_normal(
+            (4, 2, 256, 65)).astype(np.float32)
+        x = features_to_input(batch)
+        assert np.shares_memory(x.data, batch)
+        assert np.shares_memory(features_to_input(batch[1:3]).data, batch)
 
 
 @pytest.fixture(scope="module")

@@ -90,7 +90,7 @@ def test_teacher_step_reuses_freed_memory():
         model = PacnModel(cfg, seed=0)
         opt = train.Adam(model.params)
         rng = np.random.default_rng(0)
-        x = features_to_input(rng.standard_normal((16, 256, 65, 2)).astype(np.float32))
+        x = features_to_input(rng.standard_normal((16, 2, 256, 65)).astype(np.float32))
         y = np.eye(cfg.num_classes, dtype=np.float32)[rng.integers(0, cfg.num_classes, 16)]
         for _ in range(3):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -123,7 +123,7 @@ def test_student_rows_timed_and_patches_undone():
     rows = profile(cfg).rows
     assert len(rows) == 28
     model = PacnModel(cfg, seed=0)
-    feats = np.random.default_rng(0).standard_normal((2, 256, 65, 2))
+    feats = np.random.default_rng(0).standard_normal((2, 2, 256, 65))
     x = features_to_input(feats.astype(np.float32))
     targets = np.eye(cfg.num_classes, dtype=np.float32)[[0, 1]]
     before = [dict(vars(owner)) for owner in PATCHED]

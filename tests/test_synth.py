@@ -137,7 +137,7 @@ class TestSeparability:
     def test_class_means_far_apart_in_logmel(self, tmp_path):
         generate_synth_dataset(small_spec(), tmp_path)
         ds = load_dataset(tmp_path / "manifest.tsv")
-        means = [ds.features[ds.labels == c, :, :, 0].mean(axis=0)
+        means = [ds.features[ds.labels == c, 0].mean(axis=0)
                  for c in range(3)]
         for a in range(3):
             for b in range(a + 1, 3):

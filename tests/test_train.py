@@ -313,7 +313,7 @@ class TestAdam:
 
 class TestDatasets:
     def test_load_shapes(self, tiny_ds):
-        assert tiny_ds.features.shape == (18, 256, 65, 2)
+        assert tiny_ds.features.shape == (18, 2, 256, 65)
         assert tiny_ds.features.dtype == np.float32
         assert sorted(set(tiny_ds.devices)) == ["a", "b"]
         assert set(tiny_ds.labels.tolist()) == {0, 1, 2}
