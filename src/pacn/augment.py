@@ -61,7 +61,7 @@ class SpectrumCorrection:
 
     The coefficients are rounded to float32 here, the precision a checkpoint
     stores, so a model applies the same bits in training and after loading.
-    Read-only; ``train.extract_features`` warns of a device it lacks.
+    Read-only; ``train.warn_unseen`` warns of a device it lacks.
     """
 
     def __init__(self, coeffs: dict[str, np.ndarray]):

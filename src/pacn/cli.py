@@ -22,16 +22,17 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .augment import augment_clip, pitch_shift
 from .errors import IngestionError, PacnError, UsageError, read_text
-from .evalstats import (draw_subsets, evaluate, format_eval_text, rank_report,
-                        subset_accuracy_row, write_eval_csv, write_rank_csv,
-                        write_rank_svg)
+from .evalstats import (chunks, draw_subsets, evaluate, format_eval_text,
+                        predict, rank_report, subset_accuracy_row,
+                        write_eval_csv, write_rank_csv, write_rank_svg)
 from .manifest import parse_manifest
-from .model import PacnConfig, PacnModel, packaged_config
+from .model import PacnConfig, PacnModel, check_labels, packaged_config
 from .profiler import profile, verify_against_runtime
 from .seeding import PURPOSE_AUGMENT, derive_rng
 from .synth import SynthSpec, generate_synth_dataset
-from .train import (TrainConfig, check_teacher, load_dataset, load_training_split,
-                    train_student_kd, train_teacher, write_metrics)
+from .train import (TrainConfig, check_teacher, extract_features,
+                    load_training_split, manifest_rows, read_clips,
+                    train_student_kd, train_teacher, warn_unseen, write_metrics)
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +53,17 @@ def _check_outputs(outputs, inputs):
         if real in taken:
             raise UsageError(f"{name} {path} would overwrite {taken[real]}")
         taken[real] = f"{name} {path}"
+
+
+# characters XML 1.0 cannot hold, not even as a character reference
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_method_name(name, where, error):
+    """Raise ``error`` if the rank SVG cannot draw method name ``name``."""
+    if _NOT_XML.search(name):
+        raise error(f"{where}: method name {name!r} holds a character XML "
+                    "cannot represent")
 
 
 def cmd_synth_data(args) -> int:
@@ -107,16 +119,25 @@ def cmd_eval(args) -> int:
                     ("--subset-scores", args.subset_scores)],
                    [("--ckpt", args.ckpt), ("--manifest", args.manifest)])
     model = PacnModel.load(args.ckpt)
-    ds = load_dataset(args.manifest, None if args.no_correction else model.correction)
+    rows = manifest_rows(args.manifest)
+    labels = np.array([r.label_index for r in rows], dtype=np.int64)
+    check_labels(labels, model.config.num_classes)
     if args.subset_scores:
+        _check_method_name(args.method_name, "--method-name", UsageError)
         seed = args.seed if args.seed is not None else 0
-        subsets = draw_subsets(len(ds), args.subsets, args.fraction, seed)
-    result = evaluate(model, ds)
+        subsets = draw_subsets(len(rows), args.subsets, args.fraction, seed)
+    correction = None if args.no_correction else model.correction
+    warn_unseen(rows, correction)
+    # one forward per chunk: only its clips and features are held at once
+    preds = np.concatenate([predict(model, extract_features(
+        read_clips(args.manifest, rows[a:b]), correction))
+        for a, b in chunks(len(rows))])
+    result = evaluate(model, labels, [r.device_id for r in rows], preds)
     print(format_eval_text(result))
     if args.report:
         write_eval_csv(args.report, result)
     if args.subset_scores:
-        row = subset_accuracy_row(result.predictions == ds.labels, subsets)
+        row = subset_accuracy_row(preds == labels, subsets)
         with open(args.subset_scores, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method"]
@@ -143,10 +164,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-# characters XML 1.0 cannot hold, not even as a character reference
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
 def _read_scores_csv(path):
     names, rows = [], []
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
@@ -164,9 +181,7 @@ def _read_scores_csv(path):
             raise IngestionError(f"{path}:{lineno}: no scores in row")
         if not np.isfinite(values).all():
             raise IngestionError(f"{path}:{lineno}: non-finite score")
-        if _NOT_XML.search(row[0]):
-            raise IngestionError(f"{path}:{lineno}: method name {row[0]!r} "
-                                 "holds a character XML cannot represent")
+        _check_method_name(row[0], f"{path}:{lineno}", IngestionError)
         if rows and len(values) != len(rows[0]):
             raise IngestionError(f"{path}:{lineno}: expected "
                                  f"{len(rows[0])} scores, got {len(values)}")

@@ -36,23 +36,26 @@ Q_ALPHA = {
 EVAL_BATCH = 64
 
 
-def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
-    """Inference-mode logits for a (n, 2, 256, 65) feature stack, forwarded
-    ``EVAL_BATCH`` clips at a time.
+def chunks(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) ranges forwarding ``n`` rows ``EVAL_BATCH`` at a time.
 
     A one-row forward runs the head as a matrix-vector product, which sums
-    in another order than a batch, so a lone last row joins the chunk
-    before it: no clip's logits depend on the set's size.
+    in another order than a batch, so a lone last row joins the range
+    before it: no row's logits depend on the set's size.
     """
-    n = len(features)
     if n == 0:
         raise UsageError("empty feature set")
     bounds = list(range(0, n, EVAL_BATCH))
     if n > 1 and n % EVAL_BATCH == 1:
         bounds.pop()
+    return list(zip(bounds, bounds[1:] + [n]))
+
+
+def logits(model: PacnModel, features: np.ndarray) -> np.ndarray:
+    """Inference-mode logits for a (n, 2, 256, 65) stack, one forward per chunk."""
     return np.concatenate([
         model(features_to_input(features[a:b]), training=False).data
-        for a, b in zip(bounds, bounds[1:] + [n])])
+        for a, b in chunks(len(features))])
 
 
 def predict(model: PacnModel, features: np.ndarray) -> np.ndarray:
@@ -77,23 +80,22 @@ class EvalResult:
     unseen_devices: tuple[str, ...] = ()
 
 
-def evaluate(model: PacnModel, dataset) -> EvalResult:
-    """Accuracy breakdown for any object with features/labels/devices; a device
+def evaluate(model: PacnModel, labels: np.ndarray, devices,
+             preds: np.ndarray) -> EvalResult:
+    """Accuracy breakdown of per-clip labels, devices and predictions; a device
     the model did not train on (no correction entry) is marked unseen."""
-    if len(dataset.labels) == 0:
+    if len(labels) == 0:
         raise UsageError("cannot evaluate an empty dataset")
-    labels = np.asarray(dataset.labels)
+    labels = np.asarray(labels)
     num_classes = model.config.num_classes
     check_labels(labels, num_classes)
-    preds = predict(model, dataset.features)
     correct = preds == labels
 
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
 
-    devs = dataset.devices
-    per_device = {dev: float(correct[np.array([d == dev for d in devs])].mean())
-                  for dev in sorted(set(devs))}
+    per_device = {dev: float(correct[np.array([d == dev for d in devices])].mean())
+                  for dev in sorted(set(devices))}
     unseen = () if model.correction is None else tuple(
         d for d in per_device if d not in model.correction.coeffs)
     per_class = {_class_name(int(c)): float(correct[labels == c].mean())

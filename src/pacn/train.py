@@ -209,17 +209,20 @@ class Dataset:
                        names=tuple(self.names[i] for i in idx))
 
 
-def extract_features(clips, correction: SpectrumCorrection | None = None,
-                     threads: int | None = None) -> np.ndarray:
-    """Stack clean per-clip features, optionally device-corrected; each device
-    the correction lacks passes through, warned once in first-appearance order.
-    A pool of ``threads`` workers (default: one per usable CPU) extracts them."""
-    coeffs = {} if correction is None else correction.coeffs
-    unseen = () if correction is None else dict.fromkeys(
-        c.device_id for c in clips if c.device_id not in coeffs)
-    for dev in unseen:
+def warn_unseen(rows, correction: SpectrumCorrection | None) -> None:
+    """Warn once per device of ``rows`` that ``correction`` lacks, in
+    first-appearance order: its clips pass through uncorrected."""
+    for dev in dict.fromkeys(r.device_id for r in rows if correction is not None
+                             and r.device_id not in correction.coeffs):
         log.warning("no spectrum correction for device %r; passing through", dev)
 
+
+def extract_features(clips, correction: SpectrumCorrection | None = None,
+                     threads: int | None = None) -> np.ndarray:
+    """Stack clean per-clip features, optionally device-corrected; a device
+    the correction lacks passes through. A pool of ``threads`` workers
+    (default: one per usable CPU) extracts them."""
+    coeffs = {} if correction is None else correction.coeffs
     out = np.empty((len(clips), 2, N_MELS, N_FRAMES), dtype=np.float32)
 
     def one(i):     # numpy.fft releases the GIL; no bit depends on the pool
@@ -228,12 +231,13 @@ def extract_features(clips, correction: SpectrumCorrection | None = None,
     if threads is None:         # the CPUs this process may run on
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(threads, len(clips))) as pool:
-        list(pool.map(one, range(len(clips))))
+    if clips:
+        with ThreadPoolExecutor(max_workers=min(threads, len(clips))) as pool:
+            list(pool.map(one, range(len(clips))))
     return out
 
 
-def _manifest_rows(manifest_path, exclude_device: str | None = None):
+def manifest_rows(manifest_path, exclude_device: str | None = None):
     """The manifest's rows, minus ``exclude_device``'s; no WAV is read."""
     rows = parse_manifest(manifest_path)
     if not rows:
@@ -249,14 +253,15 @@ def _manifest_rows(manifest_path, exclude_device: str | None = None):
     return rows
 
 
-def _read_clips(manifest_path, rows) -> list[AudioClip]:
-    """The rows' clips, each WAV read once."""
+def read_clips(manifest_path, rows) -> list[AudioClip]:
+    """The rows' clips (paths relative to the manifest), each WAV read once."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     return [read_wav(os.path.join(base, r.filename), r.label_index,
                      r.device_id, r.city) for r in rows]
 
 
-def _dataset(rows, clips, correction: SpectrumCorrection | None) -> Dataset:
+def _dataset(rows, clips, correction: SpectrumCorrection) -> Dataset:
+    warn_unseen(rows, correction)
     return Dataset(clips=clips,
                    features=extract_features(clips, correction),
                    labels=np.array([r.label_index for r in rows], dtype=np.int64),
@@ -264,35 +269,28 @@ def _dataset(rows, clips, correction: SpectrumCorrection | None) -> Dataset:
                    names=tuple(r.filename for r in rows))
 
 
-def load_dataset(manifest_path,
-                 correction: SpectrumCorrection | None = None) -> Dataset:
-    """Read the clips a manifest lists (paths relative to it) into a Dataset.
-
-    ``correction``, if given, is applied to the features; nothing is fitted
-    here.
-    """
-    rows = _manifest_rows(manifest_path)
-    return _dataset(rows, _read_clips(manifest_path, rows), correction)
-
-
 def load_training_split(manifest_path, val_fraction: float, seed: int,
                         exclude_device: str | None = None):
     """(train, val, correction) for training on a manifest.
 
     The rows are split as ``split_train_val`` splits them, the correction is
-    fitted on the training part only, and then every feature is extracted
-    once with it, so no validation clip reaches the fit. The rows are split
-    before any WAV is read.
+    fitted on the training part only, and then each part's features are
+    extracted with it from that part's clips, so no validation clip reaches
+    the fit. The rows are split before any WAV is read.
     """
-    rows = _manifest_rows(manifest_path, exclude_device)
+    rows = manifest_rows(manifest_path, exclude_device)
     labels = np.array([r.label_index for r in rows], dtype=np.int64)
     train_idx, val_idx = _split_indices(labels, val_fraction, seed)
     if len(train_idx) == 0:
         raise UsageError("training dataset is empty")
-    clips = _read_clips(manifest_path, rows)
+    clips = read_clips(manifest_path, rows)
     correction = estimate_dataset_correction([clips[i] for i in train_idx])
-    ds = _dataset(rows, clips, correction)
-    return ds.subset(train_idx), ds.subset(val_idx), correction
+
+    def part(idx):      # only validation rows can hold a device the fit lacks
+        return _dataset([rows[i] for i in idx], [clips[i] for i in idx],
+                        correction)
+
+    return part(train_idx), part(val_idx), correction
 
 
 def estimate_dataset_correction(clips) -> SpectrumCorrection:

@@ -19,7 +19,7 @@ from pacn.gradcheck import check_gradients
 from pacn.model import PacnConfig, PacnModel
 from pacn.profiler import profile, verify_against_runtime
 from pacn.tensor import Tensor, matmul, relu, tmean
-from pacn.train import (TrainConfig, kd_loss, load_dataset,
+from pacn.train import (TrainConfig, kd_loss,
                         load_training_split, lr_at, mean_teacher_kl,
                         train_student_kd, train_teacher)
 
@@ -145,13 +145,13 @@ class TestKdEndpoints:
         assert abs(parts.distill) < 1e-12
         ok("distillation endpoint: matching logits")
 
-    def test_criterion_lambda_one_bit_identical(self, tmp_path):
+    def test_criterion_lambda_one_bit_identical(self, tmp_path, whole_set):
         from pacn.augment import AugmentConfig
         from pacn.synth import SynthSpec, generate_synth_dataset
 
         generate_synth_dataset(SynthSpec(classes=3, clips_per_class=4,
                                          devices=2, seed=2), tmp_path / "d")
-        ds = load_dataset(tmp_path / "d" / "manifest.tsv")
+        ds = whole_set(tmp_path / "d" / "manifest.tsv")
         cfg = TrainConfig(epochs=2, batch_size=8, warmup_epochs=1, seed=6,
                           kd_lambda=1.0, augment=AugmentConfig())
         plain = train_teacher(PacnConfig(**TINY), ds, cfg)
@@ -265,10 +265,10 @@ class TestLearningSignal:
         assert elapsed < 600.0, f"took {elapsed:.0f}s"
         ok(f"learning signal (held-out {best:.3f} in {elapsed:.0f}s)")
 
-    def test_criterion_pure_distillation_closes_kl(self, corpus):
+    def test_criterion_pure_distillation_closes_kl(self, corpus, whole_set):
         from pacn.augment import AugmentConfig
 
-        ds = load_dataset(corpus / "manifest.tsv")
+        ds = whole_set(corpus / "manifest.tsv")
         per_class = [np.flatnonzero(ds.labels == c)[:60] for c in range(4)]
         sub = ds.subset(np.sort(np.concatenate(per_class)))
 

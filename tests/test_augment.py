@@ -105,8 +105,8 @@ class TestSpectrumCorrection:
             np.testing.assert_allclose(sc2.coeffs[d], 1.0, atol=1e-3)
 
     def test_unknown_device_is_a_silent_lookup(self, caplog):
-        # feature extraction warns of an unseen device; the correction only
-        # holds its coefficients and never changes
+        # ``train.warn_unseen`` warns of an unseen device; the correction
+        # only holds its coefficients and never changes
         sc = augment.SpectrumCorrection({"a": np.ones(2049)})
         with caplog.at_level(logging.DEBUG):
             assert sc.coeff_for("mystery") is None

@@ -16,10 +16,11 @@ import pytest
 import scipy.io.wavfile
 
 import pacn.cli
+import pacn.evalstats
 import pacn.model
 import pacn.train
 from pacn.cli import main
-from pacn.evalstats import evaluate, write_eval_csv
+from pacn.evalstats import evaluate, predict, write_eval_csv
 from pacn.audio import write_wav
 from pacn.manifest import parse_manifest, write_manifest
 from pacn.model import packaged_config
@@ -82,6 +83,11 @@ def count_fits(monkeypatch):
 
     monkeypatch.setattr(pacn.train, "estimate_dataset_correction", counted)
     return fits
+
+
+def library_eval(model, ds):
+    """The library's report of ``model`` on a whole-set ``Dataset``."""
+    return evaluate(model, ds.labels, ds.devices, predict(model, ds.features))
 
 
 def count_read_wav(monkeypatch, *modules):
@@ -199,11 +205,12 @@ class TestTraining:
 
     def test_validation_audio_leaves_the_checkpoint_alone(self, work,
                                                           tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          whole_set):
         # the correction is fitted once, on the training split only, so a
         # different validation clip changes no weight and no coefficient
         data = shutil.copytree(work / "data", tmp_path / "data")
-        ds = pacn.train.load_dataset(data / "manifest.tsv")
+        ds = whole_set(data / "manifest.tsv")
         train_ds, val_ds = pacn.train.split_train_val(ds, 0.25, seed=1)
         noise = np.random.default_rng(3).uniform(-0.5, 0.5, 44100)
         write_wav(data / val_ds.names[0], noise.astype(np.float32))
@@ -437,7 +444,7 @@ class TestEval:
         assert "head.fc.bias" in err and "non-finite" in err
 
     def test_no_correction_fits_none_and_matches_the_library(
-            self, work, tmp_path, monkeypatch):
+            self, work, tmp_path, monkeypatch, whole_set):
         fits = []
         fit = pacn.train.estimate_dataset_correction
 
@@ -453,12 +460,12 @@ class TestEval:
         assert fits == []
         model = pacn.model.PacnModel.load(work / "teacher.ckpt")
         write_eval_csv(tmp_path / "lib.csv",
-                       evaluate(model, pacn.train.load_dataset(manifest)))
+                       library_eval(model, whole_set(manifest)))
         assert (tmp_path / "cli.csv").read_bytes() \
             == (tmp_path / "lib.csv").read_bytes()
 
     def test_applies_the_checkpoint_correction_and_matches_the_library(
-            self, work, tmp_path, monkeypatch):
+            self, work, tmp_path, monkeypatch, whole_set):
         fits = count_fits(monkeypatch)
         manifest = work / "data" / "manifest.tsv"
         assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
@@ -466,14 +473,13 @@ class TestEval:
                    "--report", tmp_path / "cli.csv") == 0
         assert fits == []
         model = pacn.model.PacnModel.load(work / "teacher.ckpt")
-        write_eval_csv(tmp_path / "lib.csv", evaluate(
-            model, pacn.train.load_dataset(manifest,
-                                           correction=model.correction)))
+        write_eval_csv(tmp_path / "lib.csv", library_eval(
+            model, whole_set(manifest, correction=model.correction)))
         assert (tmp_path / "cli.csv").read_bytes() \
             == (tmp_path / "lib.csv").read_bytes()
 
     def test_held_out_rows_do_not_move_other_predictions(
-            self, work, tmp_path, monkeypatch, caplog):
+            self, work, tmp_path, monkeypatch, caplog, whole_set):
         manifest = work / "data" / "manifest.tsv"
         assert run("--quiet", "train-teacher", "--config", work / "train.json",
                    "--model-config", work / "model.json",
@@ -501,12 +507,65 @@ class TestEval:
         assert device_rows(tmp_path / "all.csv", "a") \
             == device_rows(tmp_path / "seen.csv", "a") != []
         model = pacn.model.PacnModel.load(tmp_path / "x.ckpt")
-        full = pacn.train.load_dataset(manifest, correction=model.correction)
-        seen = pacn.train.load_dataset(seen_only, correction=model.correction)
+        full = whole_set(manifest, correction=model.correction)
+        seen = whole_set(seen_only, correction=model.correction)
         kept = np.array(full.devices) != "b"
         np.testing.assert_array_equal(full.features[kept], seen.features)
-        np.testing.assert_array_equal(evaluate(model, full).predictions[kept],
-                                      evaluate(model, seen).predictions)
+        np.testing.assert_array_equal(
+            library_eval(model, full).predictions[kept],
+            library_eval(model, seen).predictions)
+
+    @pytest.mark.parametrize("classes, per_class", [(3, 43), (2, 65)])
+    def test_streams_one_chunk_at_a_time(self, work, tmp_path, monkeypatch,
+                                         whole_set, classes, per_class):
+        # 129 and 130 rows: the last chunk takes a lone last row, or not
+        generate_synth_dataset(SynthSpec(classes=classes,
+                                         clips_per_class=per_class,
+                                         devices=2, seed=8), tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        model = pacn.model.PacnModel.load(work / "teacher.ckpt")
+        want = pacn.evalstats.logits(
+            model, whole_set(manifest, model.correction).features)
+        reads = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        read_at, got = [], []
+        forward = pacn.model.PacnModel.forward
+
+        def spied(self, x, training=False):
+            read_at.append(len(reads))
+            got.append(forward(self, x, training))
+            return got[-1]
+
+        monkeypatch.setattr(pacn.model.PacnModel, "forward", spied)
+        assert run("--quiet", "eval", "--ckpt", work / "teacher.ckpt",
+                   "--manifest", manifest) == 0
+        # no forward waits on more than one chunk's WAVs
+        steps = [b - a for a, b in zip([0] + read_at, read_at)]
+        assert max(steps) <= pacn.evalstats.EVAL_BATCH + 1
+        assert sum(steps) == len(reads) == classes * per_class
+        assert np.concatenate([z.data for z in got]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("classes, flags, message", [
+        (1, [], "dataset has label 1 but the model predicts 1 classes"),
+        (3, ["--fraction", "0"], "fraction must lie in (0, 1], got 0.0"),
+        (3, ["--subsets", "0"], "number of subsets must be positive, got 0"),
+        (3, ["--method-name", "a\x01b"], "--method-name: method name "
+         "'a\\x01b' holds a character XML cannot represent"),
+    ], ids=["label", "fraction", "subsets", "method-name"])
+    def test_fails_before_reading_wavs(self, work, tmp_path, capsys,
+                                       monkeypatch, classes, flags, message):
+        # the rows and the flags are checked before any WAV is read
+        ckpt = tmp_path / "model.ckpt"
+        pacn.model.PacnModel(pacn.model.PacnConfig(
+            **dict(TINY_MODEL, num_classes=classes))).save(ckpt)
+        calls = count_read_wav(monkeypatch, pacn.cli, pacn.train)
+        err = fails_cleanly(capsys, "--quiet", "eval", "--ckpt", ckpt,
+                            "--manifest", work / "data" / "manifest.tsv",
+                            "--report", tmp_path / "e.csv",
+                            "--subset-scores", tmp_path / "s.csv", *flags)
+        assert err == f"error: {message}\n"
+        assert calls == []
+        assert not (tmp_path / "e.csv").exists()
+        assert not (tmp_path / "s.csv").exists()
 
     def test_zero_sample_rate_wav_fails_cleanly(self, work, tmp_path, capsys):
         scipy.io.wavfile.write(tmp_path / "zero.wav", 0,

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import pacn.evalstats
 from pacn.augment import SpectrumCorrection
 from pacn.errors import ConfigError, UsageError
-from pacn.evalstats import (Q_ALPHA, draw_subsets, evaluate, format_eval_text,
-                            friedman_test, nemenyi_cd, predict, rank_matrix,
+from pacn.evalstats import (Q_ALPHA, chunks, draw_subsets, evaluate,
+                            format_eval_text, friedman_test, nemenyi_cd,
+                            predict, rank_matrix,
                             rank_report, subset_accuracy_row, write_eval_csv,
                             write_rank_csv, write_rank_svg)
 from pacn.model import PacnModel, packaged_config
@@ -47,6 +48,11 @@ def stub_dataset(labels, devices=None):
                            devices=tuple(devices or ["a"] * n))
 
 
+def score(model, ds):
+    """``evaluate`` on the model's predictions for a stub dataset."""
+    return evaluate(model, ds.labels, ds.devices, predict(model, ds.features))
+
+
 class TestPredict:
     def test_ties_resolve_to_lowest_index(self):
         model = StubModel(np.zeros((5, 10)))
@@ -76,12 +82,22 @@ class TestPredict:
         five = pacn.evalstats.logits(model, feats)
         assert four.tobytes() == five[:4].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 130])
+    def test_chunks_tile_the_rows_with_no_lone_last_row(self, n):
+        ranges = chunks(n)
+        assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+        assert ranges[-1][1] == n
+        assert all(b - a <= pacn.evalstats.EVAL_BATCH + 1 for a, b in ranges)
+        assert n == 1 or all(b - a > 1 for a, b in ranges)
+        with pytest.raises(UsageError):
+            chunks(0)
+
 
 class TestEvaluate:
     def test_constant_predictor_on_balanced_data(self):
         labels = list(range(10)) * 3
         model = StubModel(np.zeros((30, 10)))
-        result = evaluate(model, stub_dataset(labels))
+        result = score(model, stub_dataset(labels))
         assert result.overall_accuracy == pytest.approx(0.10)
 
     def test_device_accuracies_average_to_overall(self):
@@ -90,7 +106,7 @@ class TestEvaluate:
         preds = rng.integers(0, 10, size=60)
         devices = rng.choice(["a", "b", "s1"], size=60).tolist()
         model = StubModel(np.eye(10)[preds] * 5.0)
-        result = evaluate(model, stub_dataset(labels, devices))
+        result = score(model, stub_dataset(labels, devices))
         weighted = sum(result.per_device_accuracy[d] * devices.count(d)
                        for d in set(devices)) / 60
         assert abs(weighted - result.overall_accuracy) < 1e-9
@@ -99,7 +115,7 @@ class TestEvaluate:
         labels = [0, 1, 1]
         preds = [0, 2, 1]
         model = StubModel(np.eye(10)[preds] * 5.0)
-        result = evaluate(model, stub_dataset(labels))
+        result = score(model, stub_dataset(labels))
         assert result.confusion.shape == (10, 10)
         assert result.confusion[0, 0] == 1
         assert result.confusion[1, 2] == 1
@@ -110,25 +126,26 @@ class TestEvaluate:
     def test_per_class_accuracy_names(self):
         labels = [0, 0, 9]
         model = StubModel(np.eye(10)[[0, 1, 9]] * 5.0)
-        result = evaluate(model, stub_dataset(labels))
+        result = score(model, stub_dataset(labels))
         assert result.per_class_accuracy["airport"] == 0.5
         assert result.per_class_accuracy["tram"] == 1.0
 
     def test_empty_dataset_rejected(self):
+        none = np.zeros(0, dtype=np.int64)
         with pytest.raises(UsageError):
-            evaluate(StubModel(np.zeros((0, 10))), stub_dataset([]))
+            evaluate(StubModel(np.zeros((0, 10))), none, (), none)
 
     def test_labels_beyond_the_model_rejected(self):
         model = StubModel(np.zeros((3, 4)), num_classes=4)
         with pytest.raises(ConfigError, match="label 5 but the model "
                                               "predicts 4 classes"):
-            evaluate(model, stub_dataset([0, 5, 1]))
+            score(model, stub_dataset([0, 5, 1]))
 
     def test_text_and_csv_outputs(self, tmp_path):
         # trained on "a" alone, so "s1" is unseen
         labels = [0, 1, 0, 1]
         model = StubModel(np.eye(10)[[0, 1, 1, 1]] * 5.0, devices=["a"])
-        result = evaluate(model, stub_dataset(labels, ["a", "a", "s1", "s1"]))
+        result = score(model, stub_dataset(labels, ["a", "a", "s1", "s1"]))
         assert result.unseen_devices == ("s1",)
         text = format_eval_text(result)
         assert "overall accuracy: 0.7500" in text
@@ -145,8 +162,8 @@ class TestEvaluate:
     def test_no_device_unseen(self, devices):
         # trained on every device of the dataset, or with no correction at all
         model = StubModel(np.eye(10)[[0, 1, 1, 1]] * 5.0, devices=devices)
-        result = evaluate(model, stub_dataset([0, 1, 0, 1],
-                                              ["a", "a", "s1", "s1"]))
+        result = score(model, stub_dataset([0, 1, 0, 1],
+                                           ["a", "a", "s1", "s1"]))
         assert result.unseen_devices == ()
         assert "unseen" not in format_eval_text(result)
 

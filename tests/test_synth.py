@@ -12,7 +12,6 @@ from pacn.manifest import SCENE_LABELS, parse_manifest
 from pacn.seeding import PURPOSE_SYNTH, derive_rng
 from pacn.synth import (SynthSpec, class_recipe, device_tilt_exponent,
                         generate_synth_dataset, render_clip)
-from pacn.train import load_dataset
 
 
 JSON_VALUES = st.recursive(
@@ -134,9 +133,9 @@ class TestGeneration:
 
 
 class TestSeparability:
-    def test_class_means_far_apart_in_logmel(self, tmp_path):
+    def test_class_means_far_apart_in_logmel(self, tmp_path, whole_set):
         generate_synth_dataset(small_spec(), tmp_path)
-        ds = load_dataset(tmp_path / "manifest.tsv")
+        ds = whole_set(tmp_path / "manifest.tsv")
         means = [ds.features[ds.labels == c, 0].mean(axis=0)
                  for c in range(3)]
         for a in range(3):

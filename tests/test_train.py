@@ -21,10 +21,10 @@ from pacn.model import PacnConfig, PacnModel
 from pacn.tensor import Tensor
 from pacn.manifest import parse_manifest, write_manifest
 from pacn.train import (Adam, METRICS_COLUMNS, TrainConfig, estimate_dataset_correction,
-                        extract_features, kd_loss, load_dataset,
+                        extract_features, kd_loss,
                         load_training_split, lr_at,
                         mean_teacher_kl, split_train_val, train_student_kd,
-                        train_teacher, write_metrics)
+                        train_teacher, warn_unseen, write_metrics)
 
 TINY = dict(pre_channels=[2], pre_pools=[[4, 4]], lci_channels=[2],
             gci_embed_dim=2, gci_heads=1, gci_mlp_hidden=4, shuffle_groups=2,
@@ -68,8 +68,8 @@ def tiny_manifest(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def tiny_ds(tiny_manifest):
-    return load_dataset(tiny_manifest)
+def tiny_ds(tiny_manifest, whole_set):
+    return whole_set(tiny_manifest)
 
 
 class TestTrainConfig:
@@ -339,6 +339,11 @@ class TestDatasets:
         extract_features(tiny_ds.clips[:clips])
         assert sizes == [workers]
 
+    def test_no_clips_give_an_empty_stack_and_no_pool(self, monkeypatch):
+        monkeypatch.setattr(pacn.train, "ThreadPoolExecutor", None)
+        out = extract_features([])
+        assert out.shape == (0, 2, 256, 65) and out.dtype == np.float32
+
     def test_split_is_stratified_and_deterministic(self, tiny_ds):
         tr1, va1 = split_train_val(tiny_ds, 1 / 3, seed=7)
         tr2, va2 = split_train_val(tiny_ds, 1 / 3, seed=7)
@@ -382,7 +387,7 @@ class TestDatasets:
         empty = tmp_path / "empty.tsv"
         write_manifest(empty, [])
         with pytest.raises(UsageError, match="no clips"):
-            load_dataset(empty)
+            load_training_split(empty, 0.0, seed=0)
 
     def test_correction_fitted_on_kept_clips(self, tiny_manifest, tiny_ds,
                                              monkeypatch):
@@ -407,6 +412,20 @@ class TestDatasets:
         np.testing.assert_array_equal(
             val.features, extract_features(val_ref.clips, corr))
 
+    def test_split_parts_are_extracted_apart(self, tiny_manifest,
+                                             monkeypatch):
+        # each part stacks its own clips: no whole-corpus stack is made
+        sizes = []
+        extract = pacn.train.extract_features
+
+        def counted(clips, correction=None):
+            sizes.append(len(clips))
+            return extract(clips, correction)
+
+        monkeypatch.setattr(pacn.train, "extract_features", counted)
+        train, val, _ = load_training_split(tiny_manifest, 1 / 3, seed=0)
+        assert sizes == [len(train), len(val)] == [12, 6]
+
     def test_training_split_needs_training_rows(self, tiny_manifest,
                                                 tmp_path):
         one = tmp_path / "one.tsv"
@@ -421,22 +440,22 @@ class TestDatasets:
         np.testing.assert_array_equal(tiny_ds.features,
                                       extract_features(tiny_ds.clips))
 
-    def test_given_correction_applied_not_refitted(self, tiny_manifest,
-                                                   tiny_ds, monkeypatch):
-        corr = estimate_dataset_correction(tiny_ds.clips)
-        monkeypatch.setattr(pacn.train, "estimate_dataset_correction", None)
-        ds = load_dataset(tiny_manifest, correction=corr)
-        np.testing.assert_array_equal(
-            ds.features, extract_features(tiny_ds.clips, corr))
-
-    def test_unseen_device_warns_once_across_threads(self, tiny_ds, caplog):
+    def test_unseen_device_warns_once_across_threads(self, tiny_manifest,
+                                                     tiny_ds, caplog):
+        # the rows warn, once per device in first-appearance order; the
+        # threaded extraction passes the device through and warns of nothing
         corr = estimate_dataset_correction(
             [c for c in tiny_ds.clips if c.device_id == "a"])
+        rows = parse_manifest(tiny_manifest)
+        rows = [dataclasses.replace(r, device_id="s1") for r in rows[:2]] + rows
         clips = [c for c in tiny_ds.clips if c.device_id == "b"] * 4
         with caplog.at_level(logging.WARNING):
+            warn_unseen(rows * 4, corr)
             feats = extract_features(clips, corr, threads=2)
+            warn_unseen(rows, None)
         assert [r.getMessage() for r in caplog.records] \
-            == ["no spectrum correction for device 'b'; passing through"]
+            == [f"no spectrum correction for device {d!r}; passing through"
+                for d in ("s1", "b")]
         np.testing.assert_array_equal(feats, extract_features(clips))
 
     def test_audio_mix_passes_through_without_warning(self, tiny_ds, caplog,
